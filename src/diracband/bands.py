@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnergy, GridTooCoarse, NonRealDiscriminant, NotAllowedBand
-from .soliton import ModelParams, w_functions
-
-#: |E^2 - m^2| below this is treated as the degenerate point |E| = m
-DEGENERATE_EPS = 1e-9
+from .soliton import DEGENERATE_EPS, ModelParams, w_functions
 
 #: offset used for the symmetric limit at |E| = m
 LIMIT_OFFSET = 1e-5

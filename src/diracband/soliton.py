@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateEnergy, SingularTransform
 from .spinor import ScalarPotential, Spinor, SpinorField
 
-#: half-width of the excluded neighbourhoods of the singular energies
+#: |E^2 - m^2| or |E^2 - lam^2| below this is treated as a singular energy
 DEGENERATE_EPS = 1e-9
 
 

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -290,6 +293,18 @@ class TestValidation:
             pytest.skip("console script not on PATH")
         proc = subprocess.run(
             [exe, "potential", "--samples", "5"], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("x,s1\n")
+        assert len(proc.stdout.strip().split("\n")) == 6
+
+    def test_module_entry_writes_to_stdout(self):
+        # runs where the console script is not installed: the package is
+        # found through PYTHONPATH, as in a source checkout
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracband.cli", "potential", "--samples", "5"],
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("x,s1\n")

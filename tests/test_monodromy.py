@@ -10,11 +10,58 @@ from diracband import (
     lyapunov_many,
     lyapunov_numeric,
     lyapunov_numeric_many,
+    monodromy,
     periodized_potential,
 )
+from diracband.soliton import fold_into_cell
 
 A = 1.0
 MASS = 2.0
+
+
+def stepwise_propagate(potential, m, energies, x0, period, steps):
+    """The RK4 recurrence one step at a time over the whole period: the
+    reference the blocked product in ``monodromy._propagate`` regroups."""
+    e = np.asarray(energies, dtype=float)
+    h = period / steps
+    xs = x0 + h * np.arange(steps + 1)
+    s_node = m + potential.values(xs)
+    s_half = m + potential.values(xs[:-1] + 0.5 * h)
+
+    m11 = np.ones_like(e)
+    m12 = np.zeros_like(e)
+    m21 = np.zeros_like(e)
+    m22 = np.ones_like(e)
+
+    def rate(s, a11, a12, a21, a22):
+        return (
+            s * a11 - e * a21,
+            s * a12 - e * a22,
+            e * a11 - s * a21,
+            e * a12 - s * a22,
+        )
+
+    hh = 0.5 * h
+    for i in range(steps):
+        s0, sm, s1 = s_node[i], s_half[i], s_node[i + 1]
+        k1 = rate(s0, m11, m12, m21, m22)
+        k2 = rate(sm, m11 + hh * k1[0], m12 + hh * k1[1], m21 + hh * k1[2], m22 + hh * k1[3])
+        k3 = rate(sm, m11 + hh * k2[0], m12 + hh * k2[1], m21 + hh * k2[2], m22 + hh * k2[3])
+        k4 = rate(s1, m11 + h * k3[0], m12 + h * k3[1], m21 + h * k3[2], m22 + h * k3[3])
+        w = h / 6.0
+        m11 = m11 + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        m12 = m12 + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        m21 = m21 + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        m22 = m22 + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return m11, m12, m21, m22
+
+
+def square_well(params):
+    """A tabulated well, interpolated as ``--potential-file`` does: the
+    jumps at x = +-a/2 are one table interval wide."""
+    xs = np.linspace(-params.half_period, params.half_period, 401)
+    ss = np.where(np.abs(xs) < 0.5 * params.half_period, -1.2, 0.0)
+    return ScalarPotential(lambda x: np.interp(fold_into_cell(params, x), xs, ss), "square well")
 
 
 class TestFreeParticle:
@@ -72,11 +119,68 @@ class TestMonodromyInvariants:
         assert np.abs(numeric - closed).max() < 1e-6
 
 
+class TestBlockedProduct:
+    """The blocked product must reproduce the step-by-step loop to
+    rounding, with one-step and multi-step blocks, odd block counts, and
+    step counts the block length does not divide (padded last block)."""
+
+    @pytest.mark.parametrize(
+        "profile, n_energies, steps",
+        [
+            ("soliton", 1, 2**16),
+            ("soliton", 40, 20000),
+            ("soliton", 701, 250),
+            ("soliton", 40, 101),
+            ("square-well", 1, 20000),
+            ("square-well", 40, 250),
+            ("square-well", 701, 101),
+        ],
+    )
+    def test_matches_stepwise_loop(self, canonical, profile, n_energies, steps):
+        pot = periodized_potential(canonical) if profile == "soliton" else square_well(canonical)
+        es = np.random.default_rng(n_energies).uniform(-8.0, 8.0, n_energies)
+        args = (pot, canonical.mass, es, -A, 2 * A, steps)
+        b11, b12, b21, b22 = monodromy._propagate(*args)
+        r11, r12, r21, r22 = stepwise_propagate(*args)
+        trace_ref = r11 + r22
+        assert np.all(np.abs(b11 + b22 - trace_ref) <= 1e-12 * np.maximum(1.0, np.abs(trace_ref)))
+        # det M cancels products of size |m11 m22| + |m12 m21|
+        det_scale = np.maximum(1.0, np.abs(r11 * r22) + np.abs(r12 * r21))
+        det_gap = np.abs((b11 * b22 - b12 * b21) - (r11 * r22 - r12 * r21))
+        assert np.all(det_gap <= 1e-12 * det_scale)
+
+    def test_keeps_energy_shape(self, canonical):
+        pot = periodized_potential(canonical)
+        es = np.array([[2.5, 3.5, 4.5], [-2.5, -3.5, -4.5]])
+        traces = lyapunov_numeric_many(pot, canonical.mass, es, A, steps=1000)
+        flat = lyapunov_numeric_many(pot, canonical.mass, es.ravel(), A, steps=1000)
+        assert traces.shape == es.shape
+        assert np.array_equal(traces.ravel(), flat)
+
+    def test_empty_energies(self, canonical):
+        pot = periodized_potential(canonical)
+        traces = lyapunov_numeric_many(pot, canonical.mass, np.array([]), A)
+        assert traces.shape == (0,)
+
+    def test_det_is_the_drift_expression(self, canonical):
+        pot = periodized_potential(canonical)
+        mono = integrate_monodromy(pot, canonical.mass, 3.3, -A, 2 * A, steps=1000)
+        (m11, m12), (m21, m22) = mono.matrix
+        assert mono.det == m11 * m22 - m12 * m21
+
+
 class TestGuards:
+    DRIFT_MESSAGE = r"^det drifted by \S+ at E=7\.9 with 100 steps; refine$"
+
     def test_step_count_too_small(self, canonical):
         pot = periodized_potential(canonical)
-        with pytest.raises(StepCountTooSmall):
+        with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             integrate_monodromy(pot, canonical.mass, 7.9, -A, 2 * A, steps=100)
+
+    def test_sweep_names_the_worst_energy(self, canonical):
+        pot = periodized_potential(canonical)
+        with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
+            lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
 
     def test_minimum_step_count_enforced(self, canonical):
         pot = periodized_potential(canonical)
