@@ -22,7 +22,6 @@ from .errors import (
     DiracBandError,
     EvaluationDomainError,
     GridTooCoarse,
-    NonRealDiscriminant,
     NotAllowedBand,
     SingularTransform,
     StepCountTooSmall,
@@ -64,7 +63,6 @@ __all__ = [
     "LyapunovTrace",
     "ModelParams",
     "Monodromy",
-    "NonRealDiscriminant",
     "NotAllowedBand",
     "ScalarPotential",
     "SingularTransform",

@@ -1,21 +1,35 @@
 """Discriminant, band edges and dispersion for the periodized soliton
 potential.
 
-The closed form for the discriminant is
+The paper prints the discriminant as
 
     D(E) = E/(k^2+g^2) * [ 2 w1(a) cos(2ka+d) - 2 w2(a) cos(2ka-d)
            + (k^2-w1(a)^2)/k * sin(2ka+d) - (k^2-w2(a)^2)/k * sin(2ka-d) ]
 
-with k = sqrt(E^2-m^2) (Im k >= 0) and d = arctan(k/m).  Evaluated with
-principal branches the expression is odd under E -> -E while the true
-discriminant (the monodromy trace) is even, so it is evaluated at |E|;
-the monodromy oracle confirms the even extension over the full range.
+with k = sqrt(E^2-m^2) and the phase d fixed by cos d = m/E, sin d = k/E.
+Expanding the shifted cosines and sines with those two relations cancels
+the factor E and leaves a real function of q = E^2 - m^2 = k^2 alone:
 
-Removable 0/0 points:
-  |E| = m   (1/k terms)        -> symmetric limit, average of D(m +- 1e-5)
-  E -> 0    (d -> i*infinity)  -> |E| floored at 1e-4; measured error < 1e-7
-  |E| = lam (prefactor pole)   -> symmetric limit; default sweep grids do
-                                   land on it exactly
+    D = [ (2q - w1^2 - w2^2 + 2m(w1-w2)) C + (m(w2^2-w1^2) - 2(w1+w2) q) S ] / (q + g^2)
+
+    C = cos(2a sqrt q),  S = sin(2a sqrt q)/sqrt q        for q > 0
+    C = cosh(2a kap),    S = sinh(2a kap)/kap, kap^2 = -q  for q < 0
+    C = 1,               S = 2a                            at q = 0
+
+with w1,2 = w1,2(a).  D depends on E only through q, so it is even in E
+by construction, and it is regular at E = 0 and |E| = m.
+
+The pole at q = -g^2 (|E| = lam) is removable.  Splitting off the part
+of the numerator that is polynomial in q gives
+
+    D = 2C - 2(w1+w2) S + (alpha C + beta S)/(q + g^2)
+    alpha = 2m(w1-w2) - w1^2 - w2^2 - 2g^2,  beta = m(w2^2-w1^2) + 2(w1+w2) g^2
+
+and alpha C + beta S vanishes identically at q = -g^2.  The quotient
+loses about log10(g^2/|q+g^2|) digits to that cancellation, so within
+|q + g^2| < g^2/10 the last term is evaluated as alpha dC + beta dS, the
+divided differences of C and S at q = -g^2, written without
+cancellation through sinh(a(kap -+ g)) and cosh(a(kap + g)).
 """
 from __future__ import annotations
 
@@ -24,17 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergy, GridTooCoarse, NonRealDiscriminant, NotAllowedBand
+from .errors import DegenerateEnergy, GridTooCoarse, NotAllowedBand
 from .soliton import DEGENERATE_EPS, ModelParams, w_functions
-
-#: offset used for the symmetric limit at |E| = m
-LIMIT_OFFSET = 1e-5
-
-#: evaluation floor for |E| (the formula is indeterminate at E = 0)
-ENERGY_FLOOR = 1e-4
-
-#: tolerance on the discarded imaginary part
-IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,82 +81,60 @@ class BandTable:
         return tuple(out)
 
 
-def _closed_form(params: ModelParams, e_abs: np.ndarray) -> np.ndarray:
-    """The printed expression on |E| arrays; returns complex values."""
+def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
+    """Vectorized discriminant D(E), real and even in E; defined at every
+    real energy (see the module docstring for the formula)."""
     m, g, a = params.mass, params.gamma, params.half_period
-    w1a, w2a = w_functions(params, a)
-    ea = np.maximum(np.asarray(e_abs, dtype=float), ENERGY_FLOOR)
-    k = np.sqrt((ea * ea - m * m).astype(complex))
-    delta = np.arctan(k / m)
-    two_ka = 2.0 * k * a
-    pref = ea / (k * k + g * g)
-    bracket = (
-        2.0 * w1a * np.cos(two_ka + delta)
-        - 2.0 * w2a * np.cos(two_ka - delta)
-        + (k * k - w1a * w1a) / k * np.sin(two_ka + delta)
-        - (k * k - w2a * w2a) / k * np.sin(two_ka - delta)
-    )
-    return pref * bracket
-
-
-def _limit_value(params: ModelParams, at: float) -> float:
-    """Symmetric-limit value at a removable point (|E| = m or |E| = lam)."""
-    pair = _closed_form(params, np.array([at - LIMIT_OFFSET, at + LIMIT_OFFSET]))
-    return float(0.5 * (pair[0].real + pair[1].real))
-
-
-def lyapunov_many(params: ModelParams, energies, *, degenerate: str = "limit") -> np.ndarray:
-    """Vectorized discriminant; real values.
-
-    ``degenerate`` picks the treatment of points within DEGENERATE_EPS of
-    |E| = m: "limit" substitutes the symmetric-limit value, "raise"
-    raises DegenerateEnergy.  The removable prefactor pole at |E| = lam
-    is always limit-evaluated; it is a formula artifact, not a physical
-    boundary.
-    """
+    w1, w2 = w_functions(params, a)
     e = np.asarray(energies, dtype=float)
-    ea = np.abs(e)
-    near_m = np.abs(ea * ea - params.mass**2) < DEGENERATE_EPS
-    near_lam = np.abs(ea * ea - params.lam**2) < DEGENERATE_EPS
-    if near_m.any() and degenerate == "raise":
-        bad = e[near_m].ravel()[0]
-        raise DegenerateEnergy(f"E={bad} within {DEGENERATE_EPS} of |E|=m={params.mass}")
-    patched = near_m | near_lam
-    if patched.any():
-        ea = np.where(patched, params.mass + 0.1, ea)  # placeholder, substituted below
-    d = _closed_form(params, ea)
-    imag_max = float(np.max(np.abs(d.imag))) if d.size else 0.0
-    if imag_max >= IMAG_TOL:
-        raise NonRealDiscriminant(
-            f"discarded imaginary part {imag_max:.2e} exceeds {IMAG_TOL}; branch bug"
-        )
-    out = d.real
-    if near_m.any():
-        out = np.where(near_m, _limit_value(params, params.mass), out)
-    if near_lam.any():
-        out = np.where(near_lam, _limit_value(params, params.lam), out)
-    return out
+    q = e * e - m * m
+    root = np.sqrt(np.abs(q))
+    phase = 2.0 * a * root
+    propagating = q >= 0
+    c = np.empty_like(q)
+    np.cos(phase, out=c, where=propagating)
+    np.cosh(phase, out=c, where=~propagating)
+    s = np.empty_like(q)
+    np.sin(phase, out=s, where=propagating)
+    np.sinh(phase, out=s, where=~propagating)
+    s = np.divide(s, root, out=np.full_like(q, 2.0 * a), where=root != 0)
+
+    alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
+    beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
+    shifted = q + g * g
+    near = np.abs(shifted) < 0.1 * g * g
+    tail = np.divide(alpha * c + beta * s, shifted, out=np.empty_like(q), where=~near)
+    if near.any():
+        kap = np.sqrt(-q[near])
+        u, v = kap - g, kap + g
+        ratio_u = np.divide(np.sinh(a * u), u, out=np.full_like(u, a), where=u != 0)
+        dc = -2.0 * np.sinh(a * v) / v * ratio_u
+        ds = (np.sinh(2.0 * a * g) - 2.0 * g * np.cosh(a * v) * ratio_u) / (kap * g * v)
+        tail[near] = alpha * dc + beta * ds
+    return 2.0 * c - 2.0 * (w1 + w2) * s + tail
 
 
 def lyapunov(params: ModelParams, energy: float) -> float:
     """Discriminant at one energy.
 
-    Raises DegenerateEnergy within DEGENERATE_EPS of |E| = m; use
-    lyapunov_many(..., degenerate="limit") or the trace builder when the
-    limit value is wanted instead.
+    Raises DegenerateEnergy within DEGENERATE_EPS of |E| = m, where the
+    paper's expression is 0/0; lyapunov_many and the trace builder return
+    the value of the real form there.
     """
-    return float(lyapunov_many(params, np.array([energy]), degenerate="raise")[0])
+    if abs(energy * energy - params.mass**2) < DEGENERATE_EPS:
+        raise DegenerateEnergy(f"E={energy} within {DEGENERATE_EPS} of |E|=m={params.mass}")
+    return float(lyapunov_many(params, np.array([energy]))[0])
 
 
 def lyapunov_trace(params: ModelParams, e_min: float, e_max: float, samples: int) -> LyapunovTrace:
-    """Evenly sampled (E, D, regime) trace; |E| = m rows carry the
-    limit-evaluated flag in the regime column."""
+    """Evenly sampled (E, D, regime) trace; rows within DEGENERATE_EPS of
+    |E| = m carry the regime "limit", the boundary between the other two."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     es = np.linspace(e_min, e_max, samples)
-    ds = lyapunov_many(params, es, degenerate="limit")
+    ds = lyapunov_many(params, es)
     m = params.mass
     rows = []
     for e, d in zip(es, ds):

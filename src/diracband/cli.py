@@ -62,10 +62,10 @@ class RunConfig:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     mass = args.mass
-    if mass <= 0:
-        raise ConfigError(f"--mass must be positive, got {mass}")
-    if args.half_period <= 0:
-        raise ConfigError(f"--half-period must be positive, got {args.half_period}")
+    if not 0 < mass < math.inf:
+        raise ConfigError(f"--mass must be positive and finite, got {mass}")
+    if not 0 < args.half_period < math.inf:
+        raise ConfigError(f"--half-period must be positive and finite, got {args.half_period}")
     if args.lam is not None and args.gamma is not None:
         raise ConfigError("provide exactly one of --lambda / --gamma")
     if args.gamma is not None:
@@ -78,11 +78,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not 0 < lam < mass:
             raise ConfigError(f"--lambda must lie in (0, mass), got {lam}")
         gamma = math.sqrt(mass * mass - lam * lam)
-    if not args.e_min < args.e_max:
-        raise ConfigError(f"--emin must be below --emax, got [{args.e_min}, {args.e_max}]")
+    if not -math.inf < args.e_min < args.e_max < math.inf:
+        raise ConfigError(
+            f"--emin must be below --emax, both finite, got [{args.e_min}, {args.e_max}]"
+        )
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
     if args.output_format not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {args.output_format}")
@@ -175,6 +177,8 @@ def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotent
         raw = np.genfromtxt(path, delimiter=",", comments="#", skip_header=0)
     except OSError as exc:
         raise DiracBandError(f"cannot read potential file '{path}': {exc}") from exc
+    except ValueError as exc:  # rows of unequal length
+        raise ConfigError(f"--potential-file '{path}' is not a two-column table: {exc}") from exc
     if raw.ndim != 2 or raw.shape[1] < 2:
         raise ConfigError(f"--potential-file '{path}' must have two numeric columns")
     if np.isnan(raw[0]).any():  # header row
@@ -265,7 +269,7 @@ def cmd_dispersion(config: RunConfig) -> int:
     table = bands.band_edges(params, e_max=max(abs(config.e_min), abs(config.e_max)), tol=config.tol)
     allowed = table.allowed_bands(positive_only=True)
     if not 0 <= config.band_index < len(allowed):
-        raise IndexError(
+        raise ConfigError(
             f"--band-index {config.band_index} out of range; table has {len(allowed)} "
             "positive allowed bands"
         )
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
             args.output_format = "json" if args.command in ("bands", "verify") else "csv"
         config = _resolve_config(args)
         return _COMMANDS[args.command](config)
-    except (ConfigError, IndexError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DiracBandError as exc:

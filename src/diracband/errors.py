@@ -13,13 +13,6 @@ class SingularTransform(DiracBandError):
     """A transformation-function component vanishes at the requested point."""
 
 
-class NonRealDiscriminant(DiracBandError):
-    """Discriminant came out with a non-negligible imaginary part.
-
-    Signals a branch bug in the complex evaluation, not a physical result.
-    """
-
-
 class GridTooCoarse(DiracBandError):
     """Band-edge scan produced an inconsistent table; refine the grid."""
 

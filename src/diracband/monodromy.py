@@ -156,8 +156,14 @@ def _det(m11, m12, m21, m22):
 
 def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
     """Raise StepCountTooSmall when det M drifts from 1 by more than
-    DET_DRIFT_LIMIT at any energy: the step is too coarse there."""
-    drift = np.abs(_det(m11, m12, m21, m22) - 1.0)
+    DET_DRIFT_LIMIT at any energy: the step is too coarse there.
+
+    The drift is scaled by max(1, max|M_ij|^2): m11*m22 - m12*m21 cancels
+    two products of that size, so rounding alone moves det M by about
+    eps * max|M_ij|^2 when the cell is strongly evanescent.
+    """
+    scale = np.maximum(1.0, np.max(np.abs([m11, m12, m21, m22]), axis=0))
+    drift = np.abs(_det(m11, m12, m21, m22) - 1.0) / (scale * scale)
     if drift.size and drift.max() > DET_DRIFT_LIMIT:
         worst = energies.ravel()[int(np.argmax(drift))]
         raise StepCountTooSmall(
@@ -176,8 +182,8 @@ def integrate_monodromy(
     """Fundamental matrix from x0 to x0 + period at one energy.
 
     Raises StepCountTooSmall when the determinant drifts from 1 by more
-    than DET_DRIFT_LIMIT, which means the step is too coarse for this
-    potential and energy.
+    than DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which means the
+    step is too coarse for this potential and energy.
     """
     _check_steps(steps)
     e = np.array([energy], dtype=float)

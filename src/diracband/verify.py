@@ -60,12 +60,18 @@ def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
 
 
 def check_evenness(params: soliton.ModelParams, seed: int = 20260811) -> CheckResult:
+    """D(E) = D(-E) on random energies and at the printed formula's 0/0
+    points |E| = m and |E| = lam, which random draws never land near."""
     rng = np.random.default_rng(seed)
-    es = rng.uniform(0.05, 8.0, 50)
+    lam = params.lam
+    special = [params.mass, lam, lam * (1 + 1e-6), lam * (1 - 1e-6)]
+    es = np.concatenate([rng.uniform(0.05, 8.0, 50), special])
     diff = np.abs(
         bands.lyapunov_many(params, es) - bands.lyapunov_many(params, -es)
     )
-    return CheckResult.from_measure("lyapunov-evenness", float(diff.max()), 1e-10, "50 random E")
+    return CheckResult.from_measure(
+        "lyapunov-evenness", float(diff.max()), 1e-10, "50 random E, |E| = m and near |E| = lam"
+    )
 
 
 def check_solution_residuals(params: soliton.ModelParams, energy: float = 3.0) -> list[CheckResult]:

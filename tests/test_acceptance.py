@@ -66,7 +66,7 @@ def test_criterion_3_wronskian_unity(canonical):
 
 def test_criterion_4_evenness(canonical):
     result = check_evenness(canonical)
-    report("4", result.passed, f"max |D(E) - D(-E)| = {result.residual:.2e} (tol 1e-10), 50 random E")
+    report("4", result.passed, f"max |D(E) - D(-E)| = {result.residual:.2e} (tol 1e-10), {result.detail}")
     assert result.residual < 1e-10
 
 

@@ -16,6 +16,7 @@ from diracband import (
     lyapunov,
     lyapunov_many,
     lyapunov_numeric,
+    lyapunov_numeric_many,
     lyapunov_trace,
     periodized_potential,
 )
@@ -28,11 +29,36 @@ NINTH_EDGE = 6.365375
 NINTH_GAP_INTERIOR = 6.3586
 
 
+# parameter sets for the oracle comparison at the removable points: the
+# canonical model, a deep evanescent cell, a heavy particle with a shallow
+# well and a short weak cell
+REMOVABLE_POINT_SETS = {
+    "canonical": (2.0, math.sqrt(3.0), 1.0),
+    "g1.9-a3": (2.0, 1.9, 3.0),
+    "m5-g0.7-a2": (5.0, 0.7, 2.0),
+    "m1-g0.3-a0.5": (1.0, 0.3, 0.5),
+}
+
+
 class TestLyapunov:
     def test_even_function(self, canonical):
         rng = np.random.default_rng(21)
-        es = rng.uniform(0.05, 8.0, 50)
-        assert np.abs(lyapunov_many(canonical, es) - lyapunov_many(canonical, -es)).max() < 1e-10
+        lam, m = canonical.lam, canonical.mass
+        special = [lam, lam * (1 + 1e-6), lam * (1 - 1e-6), m]
+        es = np.concatenate([rng.uniform(0.05, 8.0, 50), special])
+        assert np.array_equal(lyapunov_many(canonical, es), lyapunov_many(canonical, -es))
+
+    @pytest.mark.parametrize("mass,gamma,a", REMOVABLE_POINT_SETS.values(),
+                             ids=REMOVABLE_POINT_SETS.keys())
+    def test_matches_oracle_at_removable_points(self, mass, gamma, a):
+        # E = 0, |E| = m and |E| = lam are 0/0 points of the printed formula
+        params = ModelParams(mass, gamma, a)
+        lam = params.lam
+        points = [0.0, mass, lam, lam * (1 + 1e-12), lam * (1 - 1e-12), lam + 1e-4, lam - 1e-6]
+        es = np.array(points + [-e for e in points[1:]])
+        closed = lyapunov_many(params, es)
+        oracle = lyapunov_numeric_many(periodized_potential(params), mass, es, a, steps=80000)
+        assert np.max(np.abs(closed - oracle) / np.maximum(1.0, np.abs(closed))) < 1e-9
 
     def test_reference_edges_sit_on_the_lines(self, canonical):
         # reference values are printed to three decimals; with slopes up to
@@ -52,11 +78,6 @@ class TestLyapunov:
         for e in (2.0, -2.0):
             with pytest.raises(DegenerateEnergy):
                 lyapunov(canonical, e)
-
-    def test_limit_value_at_mass_shell_matches_oracle(self, canonical):
-        d_limit = float(lyapunov_many(canonical, np.array([2.0]))[0])
-        d_oracle = lyapunov_numeric(periodized_potential(canonical), 2.0, 2.0, 1.0, steps=8000)
-        assert abs(d_limit - d_oracle) < 1e-6
 
     def test_zero_energy_matches_quadrature(self, canonical):
         # decoupled system at E=0: trace = 2 cosh of the integrated mass term

@@ -159,6 +159,12 @@ class TestLyapunovCommand:
         code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
         assert code == 1
 
+    def test_ragged_potential_file_rejected(self, tmp_path):
+        table = tmp_path / "ragged.csv"
+        table.write_text("x,s\n-1.0,0.0\n0.0,0.0,5.0\n1.0,0.0\n", encoding="utf-8")
+        code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
+        assert code == 1
+
 
 class TestBandsCommand:
     def test_schema(self, bands_doc, schema):
@@ -282,6 +288,21 @@ class TestValidation:
 
     def test_unknown_flag(self):
         assert cli.main(["potential", "--frequency", "3"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mass", "nan"), ("--mass", "inf"), ("--half-period", "nan"), ("--half-period", "inf"),
+        ("--tol", "nan"), ("--emin", "-inf"), ("--emax", "inf"),
+    ])
+    def test_non_finite_rejected(self, flag, value):
+        assert cli.main(["bands", flag, value]) == 1
+
+    def test_internal_value_error_is_not_a_validation_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli.bands, "band_edges", broken)
+        with pytest.raises(ValueError, match="internal"):
+            cli.main(["bands"])
 
     def test_unwritable_output_path(self, tmp_path):
         code = cli.main(["potential", "--out", str(tmp_path / "no" / "dir" / "x.csv")])

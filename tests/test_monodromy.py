@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diracband import (
+    ModelParams,
     ScalarPotential,
     StepCountTooSmall,
     integrate_monodromy,
@@ -181,6 +182,15 @@ class TestGuards:
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
+
+    def test_large_monodromy_is_not_a_drift(self):
+        # strongly evanescent cell: max|M_ij|^2 reaches ~9e16, so rounding
+        # in m11*m22 - m12*m21 alone moves det M by up to 0.25
+        params = ModelParams(mass=5.0, gamma=0.7, half_period=2.0)
+        es = np.linspace(0.0, params.mass, 401)
+        traces = lyapunov_numeric_many(periodized_potential(params), params.mass, es, 2.0)
+        closed = lyapunov_many(params, es)
+        assert np.max(np.abs(traces - closed) / np.maximum(1.0, np.abs(closed))) < 1e-12
 
     def test_minimum_step_count_enforced(self, canonical):
         pot = periodized_potential(canonical)
