@@ -21,7 +21,6 @@ from .errors import (
     DegenerateEnergy,
     DiracBandError,
     EvaluationDomainError,
-    GridTooCoarse,
     NotAllowedBand,
     SingularTransform,
     StepCountTooSmall,
@@ -58,7 +57,6 @@ __all__ = [
     "DiracBandError",
     "EvaluationDomainError",
     "FloquetPair",
-    "GridTooCoarse",
     "Kinematics",
     "LyapunovTrace",
     "ModelParams",

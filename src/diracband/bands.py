@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergy, GridTooCoarse, NotAllowedBand
+from .errors import DegenerateEnergy, NotAllowedBand
 from .soliton import DEGENERATE_EPS, ModelParams, w_functions
 
 
@@ -148,142 +148,138 @@ def lyapunov_trace(params: ModelParams, e_min: float, e_max: float, samples: int
     return LyapunovTrace(params, tuple(rows))
 
 
-def _bisect_batch(params: ModelParams, lo, hi, flo, target, tol: float):
-    """Bracket-preserving bisection of D - target on many brackets at once."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = lyapunov_many(params, mid) - target
-        same = flo * fm > 0
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-        if np.max(hi - lo) < tol and np.max(np.abs(fm)) < 4 * tol:
-            break
-    mid = 0.5 * (lo + hi)
-    return mid
+#: scan points per period of cos(2ak): above the mass dE <= dk, so a step
+#: of pi/(16a) in E puts at least this many samples on every period
+SCAN_DENSITY = 16
+#: cells per bracket and zoom step
+ZOOM_WAYS = 16
+#: most energies one edge scan may sample; band_edges rejects a wider window
+MAX_SCAN_POINTS = 2**20
 
 
-def band_edges(
-    params: ModelParams,
-    e_max: float,
-    tol: float = 1e-6,
-    *,
-    grid_step: float = 0.01,
-    refine_factor: int = 10,
-) -> BandTable:
+def _scan_step(params: ModelParams) -> float:
+    return math.pi / (SCAN_DENSITY * params.half_period)
+
+
+def check_scan_window(params: ModelParams, e_max: float) -> None:
+    """Raise ValueError when the edge scan up to e_max would sample more
+    than MAX_SCAN_POINTS energies (counted in floats: e_max may be 1e308)."""
+    if e_max / _scan_step(params) + 3.0 > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"|E| up to {e_max} needs more than {MAX_SCAN_POINTS} edge-scan points "
+            f"at half-period {params.half_period}"
+        )
+
+
+def _refine(params: ModelParams, lo, hi, dlo, dhi):
+    """Split every bracket into ZOOM_WAYS cells: the (brackets, ZOOM_WAYS+1)
+    energies and D values, with the interior evaluated in one call."""
+    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, ZOOM_WAYS) / ZOOM_WAYS)
+    d_inner = lyapunov_many(params, inner.ravel()).reshape(inner.shape)
+    return np.column_stack([lo, inner, hi]), np.column_stack([dlo, d_inner, dhi])
+
+
+def _zoom_extrema(params: ModelParams, lo, hi, dlo, dhi, sign, tol: float):
+    """Zoom every bracket onto its maximum of sign * D until that exceeds 2
+    (a gap narrower than the scan step) or the bracket is narrower than
+    tol; returns the best energy of each bracket and D there."""
+    best, d_best = np.empty_like(lo), np.empty_like(lo)
+    active = np.ones(lo.shape, dtype=bool)
+    while active.any():
+        a = np.nonzero(active)[0]
+        xs, ds = _refine(params, lo[a], hi[a], dlo[a], dhi[a])
+        r = np.arange(a.size)
+        j = np.argmax(sign[a, None] * ds, axis=1)
+        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, ZOOM_WAYS)
+        width = hi[a] - lo[a]
+        best[a], d_best[a] = xs[r, j], ds[r, j]
+        lo[a], dlo[a] = xs[r, left], ds[r, left]
+        hi[a], dhi[a] = xs[r, right], ds[r, right]
+        narrowed = hi[a] - lo[a]
+        active[a] = (sign[a] * d_best[a] <= 2.0) & (narrowed > tol) & (narrowed < width)
+    return best, d_best
+
+
+def _zoom_crossings(params: ModelParams, lo, hi, dlo, dhi, line):
+    """Zoom every bracket of a sign change of D - line down to two
+    adjacent floats; returns the float of each pair nearer the line."""
+    active = np.nextafter(lo, np.inf) < hi
+    while active.any():
+        a = np.nonzero(active)[0]
+        xs, ds = _refine(params, lo[a], hi[a], dlo[a], dhi[a])
+        r = np.arange(a.size)
+        above = ds > line[a, None]
+        j = np.argmax(above != above[:, :1], axis=1)  # the last column is on the far side
+        lo[a], dlo[a] = xs[r, j - 1], ds[r, j - 1]
+        hi[a], dhi[a] = xs[r, j], ds[r, j]
+        active[a] = np.nextafter(lo[a], np.inf) < hi[a]
+    return np.where(np.abs(dlo - line) <= np.abs(dhi - line), lo, hi)
+
+
+def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTable:
     """Locate every |D| = 2 energy in [-e_max, e_max].
 
-    Sign changes of D -+ 2 are bracketed on a grid of ``grid_step``,
-    refined by ``refine_factor`` where |D| is near 2 or changing fast,
-    then polished by bisection to ``tol``.  The scan runs on the positive
-    axis and is mirrored, so the table is exactly E -> -E symmetric.
-    Raises GridTooCoarse when the classification pass detects structure
-    the grid missed.
+    D is monotone on every band and has exactly one critical point in
+    every gap, open or closed.  D is sampled from E = 0 to two cells past
+    e_max at a step of pi/(16a), at least 16 points per period of
+    cos(2ak), and every discrete extremum marks a gap.  An extremum with
+    |D| < 2 may hide a gap narrower than the step: it is zoomed onto until
+    |D| exceeds 2 or its bracket is narrower than ``tol``, so a gap
+    narrower than ``tol`` may read as closed.  Every sign change of D - 2
+    and of D + 2 along the samples is then zoomed down to two adjacent
+    floats, and the edge is the one nearer the line; edges are exact to a
+    float whatever ``tol``.  Each interval takes its kind from |D| at its
+    midpoint.  All brackets of a zoom step are sampled at ZOOM_WAYS - 1
+    points in one lyapunov_many call.  The scan runs on the positive axis
+    and is mirrored, so the table is exactly E -> -E symmetric.
+
+    Raises ValueError when the scan would sample more than MAX_SCAN_POINTS
+    energies.
     """
     if e_max <= 0:
         raise ValueError("e_max must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    base = np.arange(0.0, e_max, grid_step)
-    base = np.append(base, e_max)
-    d_base = lyapunov_many(params, base)
+    check_scan_window(params, e_max)
+    step = _scan_step(params)
+    xs = step * np.arange(int(e_max / step) + 3)
+    ds = lyapunov_many(params, xs)
 
-    # refine cells that approach |D| = 2 or jump steeply
-    near = np.minimum(np.abs(d_base - 2.0), np.abs(d_base + 2.0)) < 0.5
-    cell_near = near[:-1] | near[1:]
-    cell_steep = np.abs(np.diff(d_base)) > 1.0
-    marked = cell_near | cell_steep
-    pieces = [base]
-    for i in np.nonzero(marked)[0]:
-        pieces.append(np.linspace(base[i], base[i + 1], refine_factor + 1)[1:-1])
-    grid = np.unique(np.concatenate(pieces))
-    d = lyapunov_many(params, grid)
+    # E = 0 is a critical point with D(0) = 2 cosh(...) >= 2, since D is even;
+    # every other one lies within a cell of a discrete extremum
+    i = 1 + np.nonzero((ds[1:-1] - ds[:-2]) * (ds[2:] - ds[1:-1]) <= 0)[0]
+    i = i[np.abs(ds[i]) < 2.0]
+    if i.size:
+        sign = np.where(ds[i] > ds[i - 1], 1.0, -1.0)
+        px, pd = _zoom_extrema(params, xs[i - 1], xs[i + 1], ds[i - 1], ds[i + 1], sign, tol)
+        order = np.argsort(np.concatenate([xs, px]), kind="stable")
+        xs, ds = np.concatenate([xs, px])[order], np.concatenate([ds, pd])[order]
 
-    roots = []
-    for target in (2.0, -2.0):
-        f = d - target
-        sgn = np.sign(f)
-        hit = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if hit.size:
-            roots.extend(
-                _bisect_batch(params, grid[hit], grid[hit + 1], f[hit], target, tol).tolist()
-            )
-        exact = np.nonzero(f == 0.0)[0]
-        roots.extend(grid[exact].tolist())
+    lines = np.array([2.0, -2.0])
+    above = ds > lines[:, None]
+    which, k = np.nonzero(above[:, :-1] != above[:, 1:])
+    roots = _zoom_crossings(params, xs[k], xs[k + 1], ds[k], ds[k + 1], lines[which])
 
-    pos = sorted(r for r in roots if 0.0 < r <= e_max)
-    edges = tuple(-r for r in reversed(pos)) + tuple(pos)
-
-    bounds = (-e_max,) + edges + (e_max,)
-    bands = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo <= 2 * tol:
-            continue
-        kind = _classify_interval(params, lo, hi, tol)
-        bands.append(Band(lo, hi, kind))
-
-    for b1, b2 in zip(bands[:-1], bands[1:]):
-        if b1.kind == b2.kind:
-            raise GridTooCoarse(
-                f"intervals ({b1.e_lo}, {b1.e_hi}) and ({b2.e_lo}, {b2.e_hi}) share kind "
-                f"'{b1.kind}'; decrease grid_step"
-            )
-    return BandTable(params, edges, tuple(bands), e_max, tol)
-
-
-def _classify_interval(params: ModelParams, lo: float, hi: float, tol: float) -> str:
-    margin = min(10 * tol, 0.25 * (hi - lo))
-    probes = np.linspace(lo + margin, hi - margin, 33)
-    dd = np.abs(lyapunov_many(params, probes))
-    mid_allowed = dd[len(dd) // 2] < 2.0
-    crosses = (dd > 2.0 + 1e-9) if mid_allowed else (dd < 2.0 - 1e-9)
-    if crosses.any():
-        raise GridTooCoarse(
-            f"interval ({lo:.6g}, {hi:.6g}) contains unresolved |D|=2 structure; "
-            "decrease grid_step"
-        )
-    return "allowed" if mid_allowed else "forbidden"
-
-
-def _polish_edge(params: ModelParams, e: float, tol_hint: float = 1e-3) -> float:
-    """Drive an approximate edge to near machine precision.
-
-    Dispersion endpoints need |D/2| within the clamp window of 1, far
-    tighter than the table tolerance; a short extra bisection is cheap.
-    """
-    d_here = float(lyapunov_many(params, np.array([e]))[0])
-    target = 2.0 if abs(d_here - 2.0) < abs(d_here + 2.0) else -2.0
-    width = tol_hint * max(1.0, abs(e))
-    for _ in range(6):
-        lo, hi = e - width, e + width
-        flo = float(lyapunov_many(params, np.array([lo]))[0]) - target
-        fhi = float(lyapunov_many(params, np.array([hi]))[0]) - target
-        if flo * fhi < 0:
-            break
-        width *= 4.0
-    else:
-        return e
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        fm = float(lyapunov_many(params, np.array([mid]))[0]) - target
-        if flo * fm > 0:
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 4 * math.ulp(max(abs(lo), abs(hi))):
-            break
-    return 0.5 * (lo + hi)
+    pos = tuple(float(r) for r in np.sort(roots) if 0.0 < r <= e_max)
+    edges = tuple(-r for r in reversed(pos)) + pos
+    bounds = np.array((-e_max,) + edges + (e_max,))
+    lo, hi = bounds[:-1], bounds[1:]
+    allowed = np.abs(lyapunov_many(params, 0.5 * (lo + hi))) < 2.0
+    bands = tuple(
+        Band(float(l), float(h), "allowed" if ok else "forbidden")
+        for l, h, ok in zip(lo, hi, allowed)
+        if h > l
+    )
+    return BandTable(params, edges, bands, e_max, tol)
 
 
 def dispersion(params: ModelParams, band, n: int) -> list[tuple[float, float]]:
     """Sample the dispersion law K(E) = arccos(D/2) / (2a) across a band.
 
-    ``band`` is (e_lo, e_hi) or a Band of kind "allowed".  Endpoints are
-    re-polished internally so that |D/2| lands inside the 1e-9 clamp
-    window there and the returned K endpoints are exactly 0 or pi/(2a).
+    ``band`` is (e_lo, e_hi) or a Band of kind "allowed".  The endpoints
+    are used as given: band_edges puts them within a float of |D| = 2,
+    where |D/2| lies inside the 1e-9 snap window, so the returned K
+    endpoints are exactly 0 or pi/(2a).
     Raises NotAllowedBand if any sample has |D| > 2 + 1e-9.
     """
     if n < 2:
@@ -297,8 +293,6 @@ def dispersion(params: ModelParams, band, n: int) -> list[tuple[float, float]]:
     if not e_lo < e_hi:
         raise ValueError(f"need e_lo < e_hi, got ({e_lo}, {e_hi})")
 
-    e_lo = _polish_edge(params, e_lo)
-    e_hi = _polish_edge(params, e_hi)
     es = np.linspace(e_lo, e_hi, n)
     half = lyapunov_many(params, es) / 2.0
 

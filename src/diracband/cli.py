@@ -222,13 +222,23 @@ def cmd_lyapunov(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _band_table(config: RunConfig, params: soliton.ModelParams) -> bands.BandTable:
+    """The band table over [-e, e], e = max(|e_min|, |e_max|); a window
+    too wide for the edge scan is rejected before any work."""
+    e_max = max(abs(config.e_min), abs(config.e_max))
+    try:
+        bands.check_scan_window(params, e_max)
+    except ValueError as exc:
+        raise ConfigError(f"--emin/--emax: {exc}") from exc
+    return bands.band_edges(params, e_max=e_max, tol=config.tol)
+
+
 def cmd_bands(config: RunConfig) -> int:
     """Band table as JSON; `--verify` adds the per-edge oracle residual."""
     if config.output_format != "json":
         raise ConfigError("--format: the bands artifact is JSON only")
     params = config.model()
-    e_max = max(abs(config.e_min), abs(config.e_max))
-    table = bands.band_edges(params, e_max=e_max, tol=config.tol)
+    table = _band_table(config, params)
     want_negative = config.e_min < 0
     edges = [e for e in table.edges if want_negative or e >= 0]
     bands_out = [b for b in table.bands if want_negative or b.e_hi > 0]
@@ -266,7 +276,7 @@ def cmd_dispersion(config: RunConfig) -> int:
     increasing energy; index 0 is the lowest positive band.
     """
     params = config.model()
-    table = bands.band_edges(params, e_max=max(abs(config.e_min), abs(config.e_max)), tol=config.tol)
+    table = _band_table(config, params)
     allowed = table.allowed_bands(positive_only=True)
     if not 0 <= config.band_index < len(allowed):
         raise ConfigError(
@@ -321,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--emin", type=float, default=0.0, dest="e_min")
     common.add_argument("--emax", type=float, default=7.0, dest="e_max")
     common.add_argument("--samples", type=int, default=701)
-    common.add_argument("--tol", type=float, default=1e-6)
+    common.add_argument("--tol", type=float, default=1e-6,
+                        help="band tables: gaps narrower than this may read as closed; "
+                             "edges are located to adjacent floats whatever it is (default 1e-6)")
     common.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
     common.add_argument("--out", default="-", help="output path; '-' writes to stdout")
 

@@ -13,10 +13,6 @@ class SingularTransform(DiracBandError):
     """A transformation-function component vanishes at the requested point."""
 
 
-class GridTooCoarse(DiracBandError):
-    """Band-edge scan produced an inconsistent table; refine the grid."""
-
-
 class NotAllowedBand(DiracBandError):
     """Dispersion requested on an interval that is not an allowed band."""
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, darboux, monodromy, soliton
-from .errors import DiracBandError
 from .spinor import Spinor, SpinorField, hamiltonian_residual, wronskian
 
 #: regression constants for mass=2, lambda=1, half-period=1
@@ -148,7 +147,9 @@ def check_oracle_equivalence(
     steps: int = monodromy.DEFAULT_STEPS,
     seed: int = 20260811,
 ) -> CheckResult:
-    """Closed form against the RK4 monodromy trace on random energies."""
+    """Closed form against the RK4 monodromy trace on random energies,
+    relative to max(1, |D|): at strongly evanescent energies |D| reaches
+    1e9, and the rounding of the trace there is not step error."""
     rng = np.random.default_rng(seed)
     m = params.mass
     es = []
@@ -161,7 +162,7 @@ def check_oracle_equivalence(
     numeric = monodromy.lyapunov_numeric_many(
         soliton.periodized_potential(params), m, es, params.half_period, steps
     )
-    worst = float(np.abs(closed - numeric).max())
+    worst = float((np.abs(closed - numeric) / np.maximum(1.0, np.abs(closed))).max())
     return CheckResult.from_measure(
         "oracle-equivalence", worst, 1e-6, f"{n_energies} random E, {steps} steps"
     )
@@ -173,10 +174,7 @@ def check_band_edge_regression(params: soliton.ModelParams) -> CheckResult:
     Only meaningful for the canonical parameter set; other parameter
     choices get the structural checks instead.
     """
-    try:
-        table = bands.band_edges(params, e_max=7.0, tol=1e-6)
-    except DiracBandError as exc:
-        return CheckResult("band-edge-regression", math.inf, 2e-3, False, f"band scan failed: {exc}")
+    table = bands.band_edges(params, e_max=7.0, tol=1e-6)
     pos = table.positive_edges
     if len(pos) < len(REFERENCE_EDGES):
         return CheckResult(
@@ -194,17 +192,9 @@ def check_band_edge_regression(params: soliton.ModelParams) -> CheckResult:
 
 def check_band_structure(params: soliton.ModelParams, e_max: float = 7.0) -> CheckResult:
     """Structural sanity of the table: edge certificates and alternation."""
-    try:
-        table = bands.band_edges(params, e_max=e_max, tol=1e-6)
-    except DiracBandError as exc:
-        return CheckResult("band-table-structure", math.inf, 1.0, False, f"band scan failed: {exc}")
-    if table.edges:
-        cert = max(
-            abs(abs(float(bands.lyapunov_many(params, np.array([e]))[0])) - 2.0)
-            for e in table.edges
-        )
-    else:
-        cert = 0.0
+    table = bands.band_edges(params, e_max=e_max, tol=1e-6)
+    d = bands.lyapunov_many(params, np.array(table.edges))
+    cert = float(np.max(np.abs(np.abs(d) - 2.0), initial=0.0))
     kinds = [b.kind for b in table.bands]
     alternates = all(k1 != k2 for k1, k2 in zip(kinds[:-1], kinds[1:]))
     res = CheckResult.from_measure("band-table-structure", cert, 10 * table.tol, f"{len(table.edges)} edges")

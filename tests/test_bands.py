@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_crossings
+from conftest import count_crossings, crossing_brackets
 from diracband import (
     Band,
     DegenerateEnergy,
-    GridTooCoarse,
     ModelParams,
     NotAllowedBand,
     band_edges,
@@ -93,9 +92,34 @@ class TestLyapunov:
         assert abs(lyapunov(canonical, 1.0) - around) < 1e-4
 
 
+# brute-force comparison cases: parameters, window and the number of
+# positive edges a dense scan finds (a 0.01 grid found 43, 5 and 1)
+DENSE_REFERENCE_CASES = {
+    "canonical": (ModelParams.from_lambda(mass=2.0, lam=1.0, half_period=1.0), 40.0, 51),
+    "g1.9-a3": (ModelParams(mass=2.0, gamma=1.9, half_period=3.0), 7.0, 25),
+    "g0.3-a0.5": (ModelParams(mass=2.0, gamma=0.3, half_period=0.5), 7.0, 5),
+}
+
+
+def assert_sign_change_at_each_edge(params, edges):
+    e = np.array(edges)
+    d, below, above = (lyapunov_many(params, x) for x in (e, np.nextafter(e, 0), np.nextafter(e, np.inf)))
+    line = np.where(d > 0, 2.0, -2.0)
+    side = d > line
+    assert np.all((side != (below > line)) | (side != (above > line))), params
+
+
 @pytest.fixture(scope="module")
 def table(canonical):
     return band_edges(canonical, e_max=7.0, tol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def bound_state_band():
+    """The narrow allowed band around |E| = lam of a long, deep cell."""
+    params = ModelParams(mass=2.0, gamma=1.9, half_period=3.0)
+    table = band_edges(params, e_max=7.0, tol=1e-6)
+    return params, next(b for b in table.allowed_bands(positive_only=True) if b.e_lo < params.lam < b.e_hi)
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +182,52 @@ class TestBandEdges:
                 assert abs(pair.beta1.imag) < 1e-12
                 assert max(abs(pair.beta1), abs(pair.beta2)) > 1.0
 
-    def test_coarse_grid_raises(self, canonical):
-        with pytest.raises(GridTooCoarse):
-            band_edges(canonical, e_max=7.0, tol=1e-6, grid_step=3.0)
+    @pytest.mark.parametrize("params,e_max,count", DENSE_REFERENCE_CASES.values(),
+                             ids=DENSE_REFERENCE_CASES.keys())
+    def test_matches_dense_reference(self, params, e_max, count):
+        # edge for edge: every brute-force bracket holds exactly one edge of
+        # its own line, and there are no others
+        table = band_edges(params, e_max=e_max, tol=1e-6)
+        pos = np.array(table.positive_edges)
+        ref = crossing_brackets(params, e_max, 1e-5)
+        assert len(ref) == len(pos) == count
+        d = lyapunov_many(params, pos)
+        for lo, hi, line in ref:
+            inside = (pos >= lo) & (pos <= hi) & (np.sign(d) == np.sign(line))
+            assert inside.sum() == 1, (lo, hi, line)
+
+    def test_bound_state_band_found(self, bound_state_band):
+        _, band = bound_state_band
+        assert band.e_lo == pytest.approx(0.624241, abs=1e-6)
+        assert band.e_hi == pytest.approx(0.624759, abs=1e-6)
+
+    def test_edges_are_float_accurate(self, canonical):
+        # D - 2 or D + 2 changes sign between each edge and an adjacent float
+        table = band_edges(canonical, e_max=40.0, tol=1e-6)
+        assert_sign_change_at_each_edge(canonical, table.positive_edges)
+
+    def test_parameter_space(self):
+        # m, gamma/m and a over the whole valid space, window to m + 5
+        rng = np.random.default_rng(20261018)
+        for _ in range(50):
+            m = rng.uniform(0.5, 5.0)
+            params = ModelParams(m, m * rng.uniform(0.05, 0.95), rng.uniform(0.3, 3.0))
+            table = band_edges(params, e_max=m + 5.0, tol=1e-6)
+            pos = np.array(table.positive_edges)
+            for lo, hi, _ in crossing_brackets(params, m + 5.0, 1e-5):
+                assert np.any((pos >= lo) & (pos <= hi)), (params, lo, hi)
+            kinds = [b.kind for b in table.bands]
+            assert all(k1 != k2 for k1, k2 in zip(kinds[:-1], kinds[1:])), params
+            assert tuple(sorted(-e for e in table.edges if e < 0)) == table.positive_edges
+            assert_sign_change_at_each_edge(params, table.positive_edges)
 
     def test_invalid_arguments(self, canonical):
         with pytest.raises(ValueError):
             band_edges(canonical, e_max=-1.0)
         with pytest.raises(ValueError):
             band_edges(canonical, e_max=7.0, tol=0.0)
+        with pytest.raises(ValueError, match="edge-scan points"):
+            band_edges(canonical, e_max=1e308)
 
 
 class TestDispersion:
@@ -197,6 +258,14 @@ class TestDispersion:
     def test_forbidden_band_object_rejected(self, canonical):
         with pytest.raises(NotAllowedBand):
             dispersion(canonical, Band(1.381, 2.164, "forbidden"), 11)
+
+    def test_bound_state_band_endpoints_exact(self, bound_state_band):
+        # the edges are used as given; |D| = 2 there to a float
+        params, band = bound_state_band
+        points = dispersion(params, band, 21)
+        assert (points[0][0], points[-1][0]) == (band.e_lo, band.e_hi)
+        assert points[0][1] == 0.0
+        assert points[-1][1] == math.pi / (2.0 * params.half_period)
 
     def test_sample_count_validated(self, canonical, lowest_band):
         with pytest.raises(ValueError):

@@ -296,6 +296,12 @@ class TestValidation:
     def test_non_finite_rejected(self, flag, value):
         assert cli.main(["bands", flag, value]) == 1
 
+    @pytest.mark.parametrize("command", ["bands", "dispersion"])
+    def test_oversize_energy_window(self, command, capsys):
+        # finite, so it passes the window check, but its edge scan is too large
+        assert cli.main([command, "--emax", "1e308"]) == 1
+        assert "--emin/--emax" in capsys.readouterr().err
+
     def test_internal_value_error_is_not_a_validation_failure(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal")

@@ -15,6 +15,7 @@ from diracband import (
     periodized_potential,
 )
 from diracband.soliton import fold_into_cell
+from diracband.verify import check_oracle_equivalence
 
 A = 1.0
 MASS = 2.0
@@ -191,6 +192,14 @@ class TestGuards:
         traces = lyapunov_numeric_many(periodized_potential(params), params.mass, es, 2.0)
         closed = lyapunov_many(params, es)
         assert np.max(np.abs(traces - closed) / np.maximum(1.0, np.abs(closed))) < 1e-12
+
+    def test_oracle_equivalence_is_relative(self):
+        # |D| reaches 8.8e8 in this evanescent cell: the absolute gap to the
+        # oracle is 1.7e-4 at 20000 steps, but 3.7e-12 of |D|
+        params = ModelParams(4.292392583703351, 1.1109415490885999, 2.461095340625619)
+        assert check_oracle_equivalence(params, steps=20000).passed
+        coarse = check_oracle_equivalence(params, steps=500)
+        assert not coarse.passed and coarse.residual < 1e-4
 
     def test_minimum_step_count_enforced(self, canonical):
         pot = periodized_potential(canonical)
