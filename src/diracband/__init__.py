@@ -8,8 +8,6 @@ __version__ = "0.1.0"
 from .bands import (
     Band,
     BandTable,
-    LyapunovTrace,
-    TraceSample,
     band_edges,
     dispersion,
     lyapunov,
@@ -20,12 +18,11 @@ from .darboux import TransformSeed, intertwining_check, map_solution, soliton_se
 from .errors import (
     DegenerateEnergy,
     DiracBandError,
-    EvaluationDomainError,
     NotAllowedBand,
     SingularTransform,
     StepCountTooSmall,
 )
-from .monodromy import Monodromy, integrate_monodromy, lyapunov_numeric, lyapunov_numeric_many
+from .monodromy import lyapunov_numeric_many
 from .soliton import (
     Kinematics,
     ModelParams,
@@ -33,18 +30,15 @@ from .soliton import (
     basis_spinors,
     bound_state_fields,
     bound_states,
-    free_spinor_field,
     periodized_potential,
     potential_s1,
     soliton_potential,
     w_functions,
 )
 from .spinor import (
-    FloquetPair,
     ScalarPotential,
     Spinor,
     SpinorField,
-    floquet_multipliers,
     hamiltonian_residual,
     wronskian,
 )
@@ -55,19 +49,14 @@ __all__ = [
     "BandTable",
     "DegenerateEnergy",
     "DiracBandError",
-    "EvaluationDomainError",
-    "FloquetPair",
     "Kinematics",
-    "LyapunovTrace",
     "ModelParams",
-    "Monodromy",
     "NotAllowedBand",
     "ScalarPotential",
     "SingularTransform",
     "Spinor",
     "SpinorField",
     "StepCountTooSmall",
-    "TraceSample",
     "TransformSeed",
     "band_edges",
     "basis_fields",
@@ -75,14 +64,10 @@ __all__ = [
     "bound_state_fields",
     "bound_states",
     "dispersion",
-    "floquet_multipliers",
-    "free_spinor_field",
     "hamiltonian_residual",
-    "integrate_monodromy",
     "intertwining_check",
     "lyapunov",
     "lyapunov_many",
-    "lyapunov_numeric",
     "lyapunov_numeric_many",
     "lyapunov_trace",
     "map_solution",

@@ -43,19 +43,6 @@ from .soliton import DEGENERATE_EPS, ModelParams, w_functions
 
 
 @dataclass(frozen=True)
-class TraceSample:
-    e: float
-    d: float
-    regime: str  # propagating | evanescent | limit
-
-
-@dataclass(frozen=True)
-class LyapunovTrace:
-    params: ModelParams
-    samples: tuple[TraceSample, ...]
-
-
-@dataclass(frozen=True)
 class Band:
     e_lo: float
     e_hi: float
@@ -126,26 +113,26 @@ def lyapunov(params: ModelParams, energy: float) -> float:
     return float(lyapunov_many(params, np.array([energy]))[0])
 
 
-def lyapunov_trace(params: ModelParams, e_min: float, e_max: float, samples: int) -> LyapunovTrace:
-    """Evenly sampled (E, D, regime) trace; rows within DEGENERATE_EPS of
-    |E| = m carry the regime "limit", the boundary between the other two."""
+def regime(params: ModelParams, energy: float) -> str:
+    """"limit" within DEGENERATE_EPS of |E| = m, the boundary between
+    "evanescent" (|E| < m) and "propagating" (|E| > m)."""
+    m = params.mass
+    if abs(energy * energy - m * m) < DEGENERATE_EPS:
+        return "limit"
+    return "propagating" if abs(energy) > m else "evanescent"
+
+
+def lyapunov_trace(
+    params: ModelParams, e_min: float, e_max: float, samples: int
+) -> list[tuple[float, float, str]]:
+    """Evenly sampled (E, D, regime) rows; see regime for the labels."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     es = np.linspace(e_min, e_max, samples)
     ds = lyapunov_many(params, es)
-    m = params.mass
-    rows = []
-    for e, d in zip(es, ds):
-        if abs(e * e - m * m) < DEGENERATE_EPS:
-            regime = "limit"
-        elif abs(e) > m:
-            regime = "propagating"
-        else:
-            regime = "evanescent"
-        rows.append(TraceSample(float(e), float(d), regime))
-    return LyapunovTrace(params, tuple(rows))
+    return [(float(e), float(d), regime(params, e)) for e, d in zip(es, ds)]
 
 
 #: scan points per period of cos(2ak): above the mass dE <= dk, so a step

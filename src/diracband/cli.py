@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,51 +32,24 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mass: float
-    gamma: float
-    lam: float
-    half_period: float
-    e_min: float
-    e_max: float
-    samples: int
-    tol: float
-    output_format: str
-    output_path: str
-    band_index: int = 0
-    cross_check: bool = False
-    potential_file: str | None = None
-    alpha_scale: float | None = None
-
-    def model(self) -> soliton.ModelParams:
-        params = soliton.ModelParams(self.mass, self.gamma, self.half_period)
-        if self.alpha_scale is not None:
-            params = soliton.ModelParams(
-                self.mass, self.gamma, self.half_period,
-                alpha_override=params.alpha * self.alpha_scale,
-            )
-        return params
+#: commands whose artifact is a JSON document, never CSV
+JSON_ONLY = {"bands", "verify"}
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    mass = args.mass
-    if not 0 < mass < math.inf:
-        raise ConfigError(f"--mass must be positive and finite, got {mass}")
-    if not 0 < args.half_period < math.inf:
-        raise ConfigError(f"--half-period must be positive and finite, got {args.half_period}")
-    if args.lam is not None and args.gamma is not None:
-        raise ConfigError("provide exactly one of --lambda / --gamma")
-    if args.gamma is not None:
-        gamma = args.gamma
-        if not 0 < gamma < mass:
-            raise ConfigError(f"--gamma must lie in (0, mass), got {gamma}")
-        lam = math.sqrt(mass * mass - gamma * gamma)
-    else:
+def _model(args: argparse.Namespace) -> soliton.ModelParams:
+    """The model from --mass, --lambda or --gamma and --half-period;
+    ModelParams' range checks become validation failures."""
+    try:
+        if args.gamma is not None:
+            return soliton.ModelParams(args.mass, args.gamma, args.half_period)
         lam = args.lam if args.lam is not None else 1.0
-        if not 0 < lam < mass:
-            raise ConfigError(f"--lambda must lie in (0, mass), got {lam}")
-        gamma = math.sqrt(mass * mass - lam * lam)
+        return soliton.ModelParams.from_lambda(args.mass, lam, args.half_period)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _check_sampling(args: argparse.Namespace) -> None:
+    """The ranges no model holds: the energy window, --samples and --tol."""
     if not -math.inf < args.e_min < args.e_max < math.inf:
         raise ConfigError(
             f"--emin must be below --emax, both finite, got [{args.e_min}, {args.e_max}]"
@@ -86,24 +58,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     if not args.tol > 0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    if args.output_format not in ("csv", "json"):
-        raise ConfigError(f"--format must be csv or json, got {args.output_format}")
-    return RunConfig(
-        mass=mass,
-        gamma=gamma,
-        lam=lam,
-        half_period=args.half_period,
-        e_min=args.e_min,
-        e_max=args.e_max,
-        samples=args.samples,
-        tol=args.tol,
-        output_format=args.output_format,
-        output_path=args.out,
-        band_index=getattr(args, "band_index", 0),
-        cross_check=getattr(args, "verify", False),
-        potential_file=getattr(args, "potential_file", None),
-        alpha_scale=getattr(args, "alpha_scale", None),
-    )
 
 
 def _fmt(value: float) -> str:
@@ -112,18 +66,6 @@ def _fmt(value: float) -> str:
 
 def _round12(value: float) -> float:
     return float(_fmt(value))
-
-
-def _params_echo(config: RunConfig) -> dict:
-    echo = {
-        "mass": _round12(config.mass),
-        "gamma": _round12(config.gamma),
-        "lambda": _round12(config.lam),
-        "half_period": _round12(config.half_period),
-    }
-    if config.alpha_scale is not None:
-        echo["alpha_override"] = _round12(config.model().alpha)
-    return echo
 
 
 def _write_text(path: str, text: str) -> None:
@@ -137,35 +79,38 @@ def _write_text(path: str, text: str) -> None:
         raise DiracBandError(f"cannot write artifact to '{path}': {exc}") from exc
 
 
-def _csv_artifact(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_artifact(config: RunConfig, kind: str, data) -> str:
+def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data) -> None:
+    """Write a command's data to --out: row records (a list of dicts, one
+    key per column) as CSV or JSON, a document (a dict) as JSON.  Floats
+    in rows are written at 12 significant digits; a document is written
+    as given."""
+    if args.output_format == "csv":
+        lines = [",".join(data[0])]
+        for row in data:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
+        _write_text(args.out, "\n".join(lines) + "\n")
+        return
+    if isinstance(data, list):
+        data = [{k: _round12(v) if isinstance(v, float) else v for k, v in row.items()} for row in data]
     doc = {
-        "params": _params_echo(config),
+        "params": {
+            "mass": _round12(params.mass),
+            "gamma": _round12(params.gamma),
+            "lambda": _round12(params.lam),
+            "half_period": _round12(params.half_period),
+        },
         "data": data,
-        "meta": {"version": __version__, "kind": kind},
+        "meta": {"version": __version__, "kind": args.command},
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_potential(config: RunConfig) -> int:
-    """Periodized potential profile over three periods, header `x,s1`."""
-    params = config.model()
+def cmd_potential(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+    """Periodized potential profile over three periods, columns `x,s1`."""
     a = params.half_period
-    xs = np.linspace(-3.0 * a, 3.0 * a, config.samples)
+    xs = np.linspace(-3.0 * a, 3.0 * a, args.samples)
     values = soliton.potential_s1(params, soliton.fold_into_cell(params, xs))
-    if config.output_format == "json":
-        data = [{"x": _round12(float(x)), "s1": _round12(float(s))} for x, s in zip(xs, values)]
-        _write_text(config.output_path, _json_artifact(config, "potential", data))
-    else:
-        rows = [(float(x), float(s)) for x, s in zip(xs, values)]
-        _write_text(config.output_path, _csv_artifact("x,s1", rows))
-    return EXIT_OK
+    return [{"x": float(x), "s1": float(s)} for x, s in zip(xs, values)]
 
 
 def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotential:
@@ -183,8 +128,8 @@ def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotent
         raise ConfigError(f"--potential-file '{path}' must have two numeric columns")
     if np.isnan(raw[0]).any():  # header row
         raw = raw[1:]
-    if np.isnan(raw).any() or raw.shape[0] < 2:
-        raise ConfigError(f"--potential-file '{path}' has non-numeric or too few rows")
+    if not np.isfinite(raw).all() or raw.shape[0] < 2:
+        raise ConfigError(f"--potential-file '{path}' has non-numeric, non-finite or too few rows")
     xs, ss = raw[:, 0], raw[:, 1]
     order = np.argsort(xs)
     xs, ss = xs[order], ss[order]
@@ -200,46 +145,33 @@ def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotent
     return ScalarPotential(fn, f"tabulated from {path}")
 
 
-def cmd_lyapunov(config: RunConfig) -> int:
-    """Discriminant trace, header `e,d,regime`."""
-    params = config.model()
-    if config.potential_file is not None:
-        pot = _tabulated_potential(config.potential_file, params)
-        es = np.linspace(config.e_min, config.e_max, config.samples)
+def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+    """Discriminant trace, columns `e,d,regime`."""
+    if args.potential_file is not None:
+        pot = _tabulated_potential(args.potential_file, params)
+        es = np.linspace(args.e_min, args.e_max, args.samples)
         ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period)
-        rows = [
-            (float(e), float(d), "propagating" if abs(e) > params.mass else "evanescent")
-            for e, d in zip(es, ds)
-        ]
+        rows = [(float(e), float(d), bands.regime(params, e)) for e, d in zip(es, ds)]
     else:
-        trace = bands.lyapunov_trace(params, config.e_min, config.e_max, config.samples)
-        rows = [(s.e, s.d, s.regime) for s in trace.samples]
-    if config.output_format == "json":
-        data = [{"e": _round12(e), "d": _round12(d), "regime": r} for e, d, r in rows]
-        _write_text(config.output_path, _json_artifact(config, "lyapunov", data))
-    else:
-        _write_text(config.output_path, _csv_artifact("e,d,regime", rows))
-    return EXIT_OK
+        rows = bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples)
+    return [{"e": e, "d": d, "regime": r} for e, d, r in rows]
 
 
-def _band_table(config: RunConfig, params: soliton.ModelParams) -> bands.BandTable:
+def _band_table(args: argparse.Namespace, params: soliton.ModelParams) -> bands.BandTable:
     """The band table over [-e, e], e = max(|e_min|, |e_max|); a window
     too wide for the edge scan is rejected before any work."""
-    e_max = max(abs(config.e_min), abs(config.e_max))
+    e_max = max(abs(args.e_min), abs(args.e_max))
     try:
         bands.check_scan_window(params, e_max)
     except ValueError as exc:
         raise ConfigError(f"--emin/--emax: {exc}") from exc
-    return bands.band_edges(params, e_max=e_max, tol=config.tol)
+    return bands.band_edges(params, e_max=e_max, tol=args.tol)
 
 
-def cmd_bands(config: RunConfig) -> int:
-    """Band table as JSON; `--verify` adds the per-edge oracle residual."""
-    if config.output_format != "json":
-        raise ConfigError("--format: the bands artifact is JSON only")
-    params = config.model()
-    table = _band_table(config, params)
-    want_negative = config.e_min < 0
+def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
+    """Band table; `--verify` adds the per-edge oracle residual."""
+    table = _band_table(args, params)
+    want_negative = args.e_min < 0
     edges = [e for e in table.edges if want_negative or e >= 0]
     bands_out = [b for b in table.bands if want_negative or b.e_hi > 0]
     data = {
@@ -251,7 +183,7 @@ def cmd_bands(config: RunConfig) -> int:
         "e_max": _round12(table.e_max),
         "tol": _round12(table.tol),
     }
-    if config.cross_check:
+    if args.verify:
         pot = soliton.periodized_potential(params)
         edge_arr = np.array(edges, dtype=float)
         closed = bands.lyapunov_many(params, edge_arr)
@@ -265,51 +197,36 @@ def cmd_bands(config: RunConfig) -> int:
             }
             for e, c, o in zip(edge_arr, closed, numeric)
         ]
-    _write_text(config.output_path, _json_artifact(config, "bands", data))
-    return EXIT_OK
+    return data
 
 
-def cmd_dispersion(config: RunConfig) -> int:
-    """Dispersion samples for one allowed band, header `k,e`.
+def cmd_dispersion(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+    """Dispersion samples for one allowed band, columns `k,e`.
 
     Bands are indexed over the allowed bands with e_lo >= 0, in
     increasing energy; index 0 is the lowest positive band.
     """
-    params = config.model()
-    table = _band_table(config, params)
+    table = _band_table(args, params)
     allowed = table.allowed_bands(positive_only=True)
-    if not 0 <= config.band_index < len(allowed):
+    if not 0 <= args.band_index < len(allowed):
         raise ConfigError(
-            f"--band-index {config.band_index} out of range; table has {len(allowed)} "
+            f"--band-index {args.band_index} out of range; table has {len(allowed)} "
             "positive allowed bands"
         )
-    band = allowed[config.band_index]
-    points = bands.dispersion(params, band, config.samples)
-    if config.output_format == "json":
-        data = [{"k": _round12(k), "e": _round12(e)} for e, k in points]
-        _write_text(config.output_path, _json_artifact(config, "dispersion", data))
-    else:
-        rows = [(k, e) for e, k in points]
-        _write_text(config.output_path, _csv_artifact("k,e", rows))
-    return EXIT_OK
+    points = bands.dispersion(params, allowed[args.band_index], args.samples)
+    return [{"k": k, "e": e} for e, k in points]
 
 
-def cmd_verify(config: RunConfig) -> int:
-    """Run the self-check suite; nonzero exit on any failed check."""
-    if config.output_format != "json":
-        raise ConfigError("--format: the verify report is JSON only")
-    params = config.model()
-    results = verify.run_verification(params)
-    report = verify.report_dict(params, results)
+def cmd_verify(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
+    """Run the self-check suite and print one summary line per check."""
+    report = verify.report_dict(params, verify.run_verification(params))
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(
             f"{status}  {check['name']}: residual {check['residual']:.3e} "
             f"(threshold {check['threshold']:.1e})  {check['detail']}"
         )
-    if config.output_path != "-":
-        _write_text(config.output_path, _json_artifact(config, "verify", report))
-    return EXIT_OK if report["passed"] else EXIT_VERIFICATION
+    return report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_d = sub.add_parser("dispersion", parents=[common], help="K(E) samples for one allowed band")
     p_d.add_argument("--band-index", dest="band_index", type=int, default=0,
                      help="0-based index among the positive allowed bands")
-    p_v = sub.add_parser("verify", parents=[common], help="run the self-check suite")
-    p_v.add_argument("--alpha-scale", dest="alpha_scale", type=float, default=None,
-                     help=argparse.SUPPRESS)
+    sub.add_parser("verify", parents=[common], help="run the self-check suite")
     return parser
 
 
@@ -372,9 +287,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.output_format is None:
-            args.output_format = "json" if args.command in ("bands", "verify") else "csv"
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+            args.output_format = "json" if args.command in JSON_ONLY else "csv"
+        elif args.output_format == "csv" and args.command in JSON_ONLY:
+            raise ConfigError(f"--format: the {args.command} artifact is JSON only")
+        params = _model(args)
+        _check_sampling(args)
+        data = _COMMANDS[args.command](args, params)
+        # verify's stdout is its summary; its report is written only to a file
+        if args.command != "verify" or args.out != "-":
+            _write_artifact(args, params, data)
+        if args.command == "verify" and not data["passed"]:
+            return EXIT_VERIFICATION
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,13 +17,10 @@ from typing import Callable
 
 from .errors import SingularTransform
 from .soliton import ModelParams
-from .spinor import ScalarPotential, Spinor, SpinorField
+from .spinor import FD_STEP, ScalarPotential, Spinor, SpinorField
 
 #: components smaller than this are treated as nodes of the seed
 NODE_EPS = 1e-12
-
-#: step for the finite-difference fallback when a seed lacks derivatives
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,6 @@ def intertwining_check(
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    psi.require_interval(x - h, x + h)
     s1 = transformed_s if transformed_s is not None else (lambda y: transformed_potential(seed, y))
 
     def h0_psi(y: float) -> tuple[complex, complex]:

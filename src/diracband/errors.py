@@ -19,7 +19,3 @@ class NotAllowedBand(DiracBandError):
 
 class StepCountTooSmall(DiracBandError):
     """Monodromy determinant drifted from 1; increase the step count."""
-
-
-class EvaluationDomainError(DiracBandError):
-    """Requested evaluation point leaves a field's domain."""

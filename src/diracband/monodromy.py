@@ -20,8 +20,6 @@ by every energy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StepCountTooSmall
@@ -33,26 +31,6 @@ DET_DRIFT_LIMIT = 1e-6
 #: blocks x energies integrated side by side; sets the block length.  On a
 #: 2 vCPU Xeon the time is flat from 2**13 to 2**16 and higher below it
 _BLOCK_ELEMENTS = 2**15
-
-
-@dataclass(frozen=True)
-class Monodromy:
-    """Fundamental matrix over one period at a single energy."""
-
-    matrix: np.ndarray
-    energy: float
-    x0: float
-    period: float
-    steps: int
-    potential: ScalarPotential
-
-    @property
-    def det(self) -> float:
-        return float(_det(*self.matrix.ravel()))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
 
 
 def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period: float, steps: int):
@@ -145,63 +123,22 @@ def _ordered_product(x11, x12, x21, x22):
     return x11[0], x12[0], x21[0], x22[0]
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
-
-
-def _det(m11, m12, m21, m22):
-    return m11 * m22 - m12 * m21
-
-
 def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
     """Raise StepCountTooSmall when det M drifts from 1 by more than
-    DET_DRIFT_LIMIT at any energy: the step is too coarse there.
+    DET_DRIFT_LIMIT at any energy, or is not finite: the step is too
+    coarse there.
 
     The drift is scaled by max(1, max|M_ij|^2): m11*m22 - m12*m21 cancels
     two products of that size, so rounding alone moves det M by about
     eps * max|M_ij|^2 when the cell is strongly evanescent.
     """
     scale = np.maximum(1.0, np.max(np.abs([m11, m12, m21, m22]), axis=0))
-    drift = np.abs(_det(m11, m12, m21, m22) - 1.0) / (scale * scale)
-    if drift.size and drift.max() > DET_DRIFT_LIMIT:
+    drift = np.abs(m11 * m22 - m12 * m21 - 1.0) / (scale * scale)
+    if drift.size and not drift.max() <= DET_DRIFT_LIMIT:  # NaN fails too
         worst = energies.ravel()[int(np.argmax(drift))]
         raise StepCountTooSmall(
             f"det drifted by {drift.max():.2e} at E={worst} with {steps} steps; refine"
         )
-
-
-def integrate_monodromy(
-    potential: ScalarPotential,
-    m: float,
-    energy: float,
-    x0: float,
-    period: float,
-    steps: int = DEFAULT_STEPS,
-) -> Monodromy:
-    """Fundamental matrix from x0 to x0 + period at one energy.
-
-    Raises StepCountTooSmall when the determinant drifts from 1 by more
-    than DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which means the
-    step is too coarse for this potential and energy.
-    """
-    _check_steps(steps)
-    e = np.array([energy], dtype=float)
-    m11, m12, m21, m22 = _propagate(potential, m, e, x0, period, steps)
-    _check_drift(m11, m12, m21, m22, e, steps)
-    matrix = np.array([[m11[0], m12[0]], [m21[0], m22[0]]])
-    return Monodromy(matrix, energy, x0, period, steps, potential)
-
-
-def lyapunov_numeric(
-    potential: ScalarPotential,
-    m: float,
-    energy: float,
-    a: float,
-    steps: int = DEFAULT_STEPS,
-) -> float:
-    """Discriminant as the monodromy trace over [-a, a]."""
-    return integrate_monodromy(potential, m, energy, -a, 2.0 * a, steps).trace
 
 
 def lyapunov_numeric_many(
@@ -211,8 +148,15 @@ def lyapunov_numeric_many(
     a: float,
     steps: int = DEFAULT_STEPS,
 ) -> np.ndarray:
-    """Vectorized discriminant sweep; one integration pass for all energies."""
-    _check_steps(steps)
+    """Discriminant tr M over [-a, a] at every energy, in one integration
+    pass.
+
+    Raises StepCountTooSmall when det M drifts from 1 by more than
+    DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which means the
+    step is too coarse for this potential and energy.
+    """
+    if steps < 100:
+        raise ValueError(f"steps must be >= 100, got {steps}")
     e = np.asarray(energies, dtype=float)
     m11, m12, m21, m22 = _propagate(potential, m, e, -a, 2.0 * a, steps)
     _check_drift(m11, m12, m21, m22, e, steps)

@@ -43,14 +43,14 @@ class ModelParams:
     alpha_override: float | None = None
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not 0 < self.gamma < self.mass:
             raise ValueError(
                 f"gamma must lie in (0, mass), got gamma={self.gamma}, mass={self.mass}"
             )
-        if not self.half_period > 0:
-            raise ValueError(f"half_period must be positive, got {self.half_period}")
+        if not 0 < self.half_period < math.inf:
+            raise ValueError(f"half_period must be positive and finite, got {self.half_period}")
 
     @classmethod
     def from_lambda(cls, mass: float, lam: float, half_period: float) -> "ModelParams":
@@ -230,18 +230,3 @@ def bound_state_fields(params: ModelParams) -> tuple[SpinorField, SpinorField]:
     v1 = SpinorField(lambda x: bound_states(params, x)[0], params.lam, label="bound state +lam")
     v2 = SpinorField(lambda x: bound_states(params, x)[1], -params.lam, label="bound state -lam")
     return v1, v2
-
-
-def free_spinor_field(mass: float, energy: float) -> SpinorField:
-    """A free-particle (S = 0) solution at the given energy, with analytic
-    derivative; the standard seed for Darboux-mapping tests."""
-    kin = Kinematics.for_energy(mass, energy)
-    k, delta = kin.k, kin.delta
-
-    def fn(x: float) -> Spinor:
-        return Spinor(cmath.cos(k * x), cmath.cos(k * x - delta))
-
-    def dfn(x: float) -> Spinor:
-        return Spinor(-k * cmath.sin(k * x), -k * cmath.sin(k * x - delta))
-
-    return SpinorField(fn, energy, derivative=dfn, label="free particle")

@@ -12,14 +12,14 @@ checks against.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationDomainError
+#: step of the central-difference fallback for fields without a derivative
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class Spinor:
     def __post_init__(self):
         if not (math.isfinite(abs(self.c1)) and math.isfinite(abs(self.c2))):
             raise ValueError("spinor components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=complex)
 
     def norm(self) -> float:
         return math.hypot(abs(self.c1), abs(self.c2))
@@ -76,40 +73,23 @@ class SpinorField:
 
     ``derivative`` is optional; callers that need psi' (the Darboux map,
     the intertwining check) fall back to a central difference with step
-    ``fd_step`` when it is absent, at the documented cost of accuracy.
+    FD_STEP when it is absent, at the documented cost of accuracy.
     """
 
     fn: Callable[[float], Spinor]
     energy: float
     derivative: Callable[[float], Spinor] | None = None
-    domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
-    fd_step: float = field(default=1e-6, repr=False)
 
     def __call__(self, x: float) -> Spinor:
         return self.fn(x)
 
-    def require_interval(self, lo: float, hi: float) -> None:
-        if lo < self.domain[0] or hi > self.domain[1]:
-            raise EvaluationDomainError(
-                f"[{lo}, {hi}] leaves the field domain {self.domain}"
-            )
-
     def d(self, x: float) -> Spinor:
         if self.derivative is not None:
             return self.derivative(x)
-        h = self.fd_step
-        self.require_interval(x - h, x + h)
+        h = FD_STEP
         fp, fm = self.fn(x + h), self.fn(x - h)
         return Spinor((fp.c1 - fm.c1) / (2 * h), (fp.c2 - fm.c2) / (2 * h))
-
-
-@dataclass(frozen=True)
-class FloquetPair:
-    """The two Bloch multipliers at a given energy."""
-
-    beta1: complex
-    beta2: complex
 
 
 def wronskian(phi: Spinor, psi: Spinor) -> complex:
@@ -141,7 +121,6 @@ def hamiltonian_residual(
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    field.require_interval(x - h, x + h)
     fp, fm, f0 = field(x + h), field(x - h), field(x)
     d1 = (fp.c1 - fm.c1) / (2 * h)
     d2 = (fp.c2 - fm.c2) / (2 * h)
@@ -149,15 +128,3 @@ def hamiltonian_residual(
     r1 = d2 + s * f0.c2 - energy * f0.c1
     r2 = -d1 + s * f0.c1 - energy * f0.c2
     return math.hypot(abs(r1), abs(r2))
-
-
-def floquet_multipliers(discriminant: float) -> FloquetPair:
-    """Both roots of beta^2 - D*beta + 1 = 0.
-
-    |D| <= 2 puts the pair on the unit circle; |D| > 2 gives a real,
-    reciprocal pair.  beta1*beta2 = 1 and beta1+beta2 = D always.
-    """
-    if not math.isfinite(discriminant):
-        raise ValueError("discriminant must be finite")
-    root = cmath.sqrt(complex(discriminant * discriminant / 4.0 - 1.0))
-    return FloquetPair(discriminant / 2.0 + root, discriminant / 2.0 - root)

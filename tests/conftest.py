@@ -1,7 +1,13 @@
+import cmath
+import math
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from diracband import ModelParams, lyapunov_many
+from diracband import Kinematics, ModelParams, Spinor, SpinorField, lyapunov_many
+
+FloquetPair = namedtuple("FloquetPair", "beta1 beta2")
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +20,33 @@ def canonical() -> ModelParams:
 def steep() -> ModelParams:
     """Alternative nodeless seed parameters (gamma given directly)."""
     return ModelParams(mass=2.0, gamma=1.0, half_period=1.0)
+
+
+def floquet_multipliers(discriminant: float) -> FloquetPair:
+    """The two Bloch multipliers: both roots of beta^2 - D*beta + 1 = 0.
+
+    |D| <= 2 puts the pair on the unit circle; |D| > 2 gives a real,
+    reciprocal pair.  beta1*beta2 = 1 and beta1+beta2 = D always.
+    """
+    if not math.isfinite(discriminant):
+        raise ValueError("discriminant must be finite")
+    root = cmath.sqrt(complex(discriminant * discriminant / 4.0 - 1.0))
+    return FloquetPair(discriminant / 2.0 + root, discriminant / 2.0 - root)
+
+
+def free_spinor_field(mass: float, energy: float) -> SpinorField:
+    """A free-particle (S = 0) solution at the given energy, with analytic
+    derivative; the standard seed for Darboux-mapping tests."""
+    kin = Kinematics.for_energy(mass, energy)
+    k, delta = kin.k, kin.delta
+
+    def fn(x: float) -> Spinor:
+        return Spinor(cmath.cos(k * x), cmath.cos(k * x - delta))
+
+    def dfn(x: float) -> Spinor:
+        return Spinor(-k * cmath.sin(k * x), -k * cmath.sin(k * x - delta))
+
+    return SpinorField(fn, energy, derivative=dfn, label="free particle")
 
 
 def count_crossings(d_values: np.ndarray, level: float = 2.0) -> int:

@@ -141,9 +141,8 @@ def test_figure_artifacts(canonical, tmp_path):
     rows = profile.read_text(encoding="utf-8").strip().split("\n")[1:]
     assert len(rows) == 601
 
-    trace = lyapunov_trace(canonical, 0.0, 7.0, 701)
-    ds = np.array([s.d for s in trace.samples])
-    es = np.array([s.e for s in trace.samples])
+    es, ds, _ = zip(*lyapunov_trace(canonical, 0.0, 7.0, 701))
+    es, ds = np.array(es), np.array(ds)
     bracketed = sum(
         1 for ref in REFERENCE_EDGES
         if count_crossings(ds[(es > ref - 0.011) & (es < ref + 0.011)]) >= 1

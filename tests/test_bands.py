@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_crossings, crossing_brackets
+from conftest import count_crossings, crossing_brackets, floquet_multipliers
 from diracband import (
     Band,
     DegenerateEnergy,
@@ -11,10 +11,8 @@ from diracband import (
     NotAllowedBand,
     band_edges,
     dispersion,
-    floquet_multipliers,
     lyapunov,
     lyapunov_many,
-    lyapunov_numeric,
     lyapunov_numeric_many,
     lyapunov_trace,
     periodized_potential,
@@ -71,7 +69,8 @@ class TestLyapunov:
         closed = lyapunov_many(canonical, es)
         pot = periodized_potential(canonical)
         for e, c in zip(es, closed):
-            assert abs(c - lyapunov_numeric(pot, canonical.mass, float(e), 1.0, steps=4000)) < 1e-6
+            oracle = lyapunov_numeric_many(pot, canonical.mass, np.array([e]), 1.0, steps=4000)[0]
+            assert abs(c - oracle) < 1e-6
 
     def test_degenerate_energy_raises(self, canonical):
         for e in (2.0, -2.0):
@@ -138,9 +137,10 @@ class TestBandEdges:
         # both evaluation paths agree there is a gap just above 6.352
         assert table.positive_edges[8] == pytest.approx(NINTH_EDGE, abs=2e-3)
         closed = float(lyapunov_many(canonical, np.array([NINTH_GAP_INTERIOR]))[0])
-        oracle = lyapunov_numeric(
-            periodized_potential(canonical), canonical.mass, NINTH_GAP_INTERIOR, 1.0, steps=8000
-        )
+        oracle = lyapunov_numeric_many(
+            periodized_potential(canonical), canonical.mass, np.array([NINTH_GAP_INTERIOR]), 1.0,
+            steps=8000,
+        )[0]
         assert closed - 2.0 > 1e-4
         assert oracle - 2.0 > 1e-4
         assert len(table.positive_edges) == 9
@@ -274,26 +274,24 @@ class TestDispersion:
 
 class TestTrace:
     def test_ordering_and_regimes(self, canonical):
-        trace = lyapunov_trace(canonical, -3.0, 3.0, 121)
-        es = [s.e for s in trace.samples]
+        rows = lyapunov_trace(canonical, -3.0, 3.0, 121)
+        es = [e for e, _, _ in rows]
         assert es == sorted(es)
-        for s in trace.samples:
-            if abs(abs(s.e) - 2.0) < 1e-9:
-                assert s.regime == "limit"
-            elif abs(s.e) > 2.0:
-                assert s.regime == "propagating"
+        for e, _, regime in rows:
+            if abs(abs(e) - 2.0) < 1e-9:
+                assert regime == "limit"
+            elif abs(e) > 2.0:
+                assert regime == "propagating"
             else:
-                assert s.regime == "evanescent"
+                assert regime == "evanescent"
 
     def test_symmetric_range_is_even(self, canonical):
-        trace = lyapunov_trace(canonical, -5.0, 5.0, 201)
-        ds = [s.d for s in trace.samples]
+        ds = [d for _, d, _ in lyapunov_trace(canonical, -5.0, 5.0, 201)]
         assert all(abs(d1 - d2) < 1e-10 for d1, d2 in zip(ds, reversed(ds)))
 
     def test_crossing_structure_below_seven(self, canonical):
-        trace = lyapunov_trace(canonical, 0.0, 7.0, 701)
-        ds = np.array([s.d for s in trace.samples])
-        es = np.array([s.e for s in trace.samples])
+        es, ds, _ = zip(*lyapunov_trace(canonical, 0.0, 7.0, 701))
+        es, ds = np.array(es), np.array(ds)
         # one crossing bracketing each reference edge
         for ref in REFERENCE_EDGES:
             window = (es > ref - 0.011) & (es < ref + 0.011)

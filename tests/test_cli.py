@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import count_crossings
-from diracband import cli, potential_s1
+from diracband import ModelParams, cli, potential_s1
 from diracband.verify import REFERENCE_EDGES
 
 
@@ -159,6 +159,28 @@ class TestLyapunovCommand:
         code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_non_finite_potential_file_rejected(self, tmp_path, value):
+        table = tmp_path / "inf.csv"
+        table.write_text(f"x,s\n-1.0,0.0\n0.0,{value}\n1.0,0.0\n", encoding="utf-8")
+        code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
+        assert code == 1
+
+    def test_tabulated_trace_labels_the_mass_shell_limit(self, tmp_path, canonical):
+        # both trace paths share one regime rule: E = m is "limit"
+        xs = np.linspace(-1.0, 1.0, 401)
+        table = tmp_path / "pot.csv"
+        table.write_text(
+            "\n".join(f"{x:.12g},{s:.12g}" for x, s in zip(xs, potential_s1(canonical, xs))),
+            encoding="utf-8",
+        )
+        code, text = run(["lyapunov", "--potential-file", str(table), "--emin", "0",
+                          "--emax", "4", "--samples", "5"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert [r[2] for r in rows] == [
+            "evanescent", "evanescent", "limit", "propagating", "propagating"]
+
     def test_ragged_potential_file_rejected(self, tmp_path):
         table = tmp_path / "ragged.csv"
         table.write_text("x,s\n-1.0,0.0\n0.0,0.0,5.0\n1.0,0.0\n", encoding="utf-8")
@@ -243,6 +265,25 @@ class TestDispersionCommand:
         validate(json.loads(text), schema)
 
 
+@pytest.mark.parametrize("args", [
+    ["potential", "--samples", "21"],
+    ["lyapunov", "--emin", "-3", "--emax", "3", "--samples", "31"],
+    ["dispersion", "--band-index", "1", "--samples", "21"],
+], ids=lambda args: args[0])
+def test_csv_and_json_rows_agree(tmp_path, schema, args):
+    _, csv_text = run(args, tmp_path, "rows.csv")
+    _, json_text = run(args + ["--format", "json"], tmp_path, "rows.json")
+    header, rows = parse_csv(csv_text)
+    doc = json.loads(json_text)
+    validate(doc, schema)
+    assert doc["meta"]["kind"] == args[0]
+    assert len(doc["data"]) == len(rows)
+    for record, row in zip(doc["data"], rows):
+        assert sorted(record) == sorted(header)
+        for column, text in zip(header, row):
+            assert record[column] == (text if column == "regime" else float(text))
+
+
 class TestVerifyCommand:
     def test_default_parameters_pass(self, tmp_path, schema, capsys):
         path = tmp_path / "report.json"
@@ -257,9 +298,17 @@ class TestVerifyCommand:
         assert {"wronskian-unity", "lyapunov-evenness", "dirac-residual",
                 "intertwining", "oracle-equivalence", "band-edge-regression"} <= names
 
-    def test_corrupted_alpha_fails_regression(self, tmp_path, capsys):
+    def test_corrupted_alpha_fails_regression(self, tmp_path, capsys, monkeypatch):
+        run_verification = cli.verify.run_verification
+
+        def corrupted(params, **kwargs):
+            wrong = ModelParams(params.mass, params.gamma, params.half_period,
+                                alpha_override=1.1 * params.alpha)
+            return run_verification(wrong, **kwargs)
+
+        monkeypatch.setattr(cli.verify, "run_verification", corrupted)
         path = tmp_path / "report.json"
-        code = cli.main(["verify", "--alpha-scale", "1.1", "--out", str(path)])
+        code = cli.main(["verify", "--out", str(path)])
         capsys.readouterr()
         assert code == 3
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -348,7 +397,5 @@ class TestValidation:
         )
 
     def test_derived_pair_identity_unquantized(self):
-        args = cli.build_parser().parse_args(["bands", "--gamma", "1.3"])
-        args.output_format = "json"
-        config = cli._resolve_config(args)
-        assert config.mass**2 == pytest.approx(config.gamma**2 + config.lam**2, abs=1e-12)
+        params = cli._model(cli.build_parser().parse_args(["bands", "--gamma", "1.3"]))
+        assert params.mass**2 == pytest.approx(params.gamma**2 + params.lam**2, abs=1e-12)

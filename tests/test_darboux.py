@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import free_spinor_field
 from diracband import (
     ScalarPotential,
     SingularTransform,
     Spinor,
     SpinorField,
     TransformSeed,
-    free_spinor_field,
     basis_fields,
     hamiltonian_residual,
     intertwining_check,

@@ -7,9 +7,7 @@ from diracband import (
     ModelParams,
     ScalarPotential,
     StepCountTooSmall,
-    integrate_monodromy,
     lyapunov_many,
-    lyapunov_numeric,
     lyapunov_numeric_many,
     monodromy,
     periodized_potential,
@@ -19,6 +17,11 @@ from diracband.verify import check_oracle_equivalence
 
 A = 1.0
 MASS = 2.0
+
+
+def trace_at(potential, m, energy, steps):
+    """The oracle's discriminant at one energy."""
+    return float(lyapunov_numeric_many(potential, m, np.array([energy]), A, steps)[0])
 
 
 def stepwise_propagate(potential, m, energies, x0, period, steps):
@@ -73,32 +76,34 @@ class TestFreeParticle:
     @pytest.mark.parametrize("energy", [2.5, 3.7, 6.0, 7.9])
     def test_trace_matches_closed_form(self, energy):
         k = math.sqrt(energy * energy - MASS * MASS)
-        trace = lyapunov_numeric(ScalarPotential.zero(), MASS, energy, A, steps=10000)
+        trace = trace_at(ScalarPotential.zero(), MASS, energy, steps=10000)
         assert abs(trace - 2.0 * math.cos(2.0 * k * A)) < 1e-9
 
     def test_negative_energy_matches_too(self):
         k = math.sqrt(9.0 - 4.0)
-        trace = lyapunov_numeric(ScalarPotential.zero(), MASS, -3.0, A, steps=10000)
+        trace = trace_at(ScalarPotential.zero(), MASS, -3.0, steps=10000)
         assert abs(trace - 2.0 * math.cos(2.0 * k * A)) < 1e-9
 
 
 class TestMonodromyInvariants:
     def test_determinant_conserved(self, canonical):
         pot = periodized_potential(canonical)
-        rng = np.random.default_rng(12)
-        for e in rng.uniform(-8, 8, 20):
-            mono = integrate_monodromy(pot, canonical.mass, float(e), -A, 2 * A, steps=2000)
-            assert abs(mono.det - 1.0) < 1e-8
+        es = np.random.default_rng(12).uniform(-8, 8, 20)
+        m11, m12, m21, m22 = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
+        assert np.all(np.abs(m11 * m22 - m12 * m21 - 1.0) < 1e-8)
 
     def test_trace_invariant_under_start_shift(self, canonical):
         pot = periodized_potential(canonical)
-        t1 = integrate_monodromy(pot, canonical.mass, 3.3, -A, 2 * A, steps=4000).trace
-        t2 = integrate_monodromy(pot, canonical.mass, 3.3, 0.0, 2 * A, steps=4000).trace
-        assert abs(t1 - t2) < 1e-8
+
+        def trace_from(x0):
+            m11, _, _, m22 = monodromy._propagate(pot, canonical.mass, np.array([3.3]), x0, 2 * A, 4000)
+            return float(m11[0] + m22[0])
+
+        assert abs(trace_from(-A) - trace_from(0.0)) < 1e-8
 
     def test_band_edge_regression_point(self, canonical):
         # 2.164 is a reference band edge; the trace must sit at -2 there
-        trace = lyapunov_numeric(periodized_potential(canonical), canonical.mass, 2.164, A, steps=4000)
+        trace = trace_at(periodized_potential(canonical), canonical.mass, 2.164, steps=4000)
         assert abs(abs(trace) - 2.0) < 2e-3
 
     def test_fourth_order_convergence(self, canonical):
@@ -106,9 +111,9 @@ class TestMonodromyInvariants:
         # reference at 2^16 steps is converged far below the measured errors
         pot = periodized_potential(canonical)
         e = 5.1
-        ref = lyapunov_numeric(pot, canonical.mass, e, A, steps=2**16)
-        err1 = abs(lyapunov_numeric(pot, canonical.mass, e, A, steps=250) - ref)
-        err2 = abs(lyapunov_numeric(pot, canonical.mass, e, A, steps=500) - ref)
+        ref = trace_at(pot, canonical.mass, e, steps=2**16)
+        err1 = abs(trace_at(pot, canonical.mass, e, steps=250) - ref)
+        err2 = abs(trace_at(pot, canonical.mass, e, steps=500) - ref)
         assert 12.0 < err1 / err2 < 20.0
 
     def test_matches_closed_form(self, canonical):
@@ -164,12 +169,6 @@ class TestBlockedProduct:
         traces = lyapunov_numeric_many(pot, canonical.mass, np.array([]), A)
         assert traces.shape == (0,)
 
-    def test_det_is_the_drift_expression(self, canonical):
-        pot = periodized_potential(canonical)
-        mono = integrate_monodromy(pot, canonical.mass, 3.3, -A, 2 * A, steps=1000)
-        (m11, m12), (m21, m22) = mono.matrix
-        assert mono.det == m11 * m22 - m12 * m21
-
 
 class TestGuards:
     DRIFT_MESSAGE = r"^det drifted by \S+ at E=7\.9 with 100 steps; refine$"
@@ -177,12 +176,18 @@ class TestGuards:
     def test_step_count_too_small(self, canonical):
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
-            integrate_monodromy(pot, canonical.mass, 7.9, -A, 2 * A, steps=100)
+            lyapunov_numeric_many(pot, canonical.mass, np.array([7.9]), A, steps=100)
 
     def test_sweep_names_the_worst_energy(self, canonical):
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
+
+    def test_non_finite_monodromy_raises(self, canonical):
+        # NaN > limit is false, so a NaN drift must fail the check, not pass it
+        nan_potential = ScalarPotential(lambda x: np.full(np.shape(x), np.nan), "NaN")
+        with np.errstate(invalid="ignore"), pytest.raises(StepCountTooSmall, match="by nan"):
+            lyapunov_numeric_many(nan_potential, canonical.mass, np.array([2.5, 3.0]), A)
 
     def test_large_monodromy_is_not_a_drift(self):
         # strongly evanescent cell: max|M_ij|^2 reaches ~9e16, so rounding
@@ -204,4 +209,4 @@ class TestGuards:
     def test_minimum_step_count_enforced(self, canonical):
         pot = periodized_potential(canonical)
         with pytest.raises(ValueError):
-            integrate_monodromy(pot, canonical.mass, 3.0, -A, 2 * A, steps=50)
+            lyapunov_numeric_many(pot, canonical.mass, np.array([3.0]), A, steps=50)

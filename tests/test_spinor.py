@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import floquet_multipliers
 from diracband import (
-    EvaluationDomainError,
     Kinematics,
     ScalarPotential,
     Spinor,
     SpinorField,
     basis_fields,
     basis_spinors,
-    floquet_multipliers,
     hamiltonian_residual,
     soliton_potential,
     wronskian,
@@ -73,12 +72,6 @@ class TestHamiltonianResidual:
         r1 = hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.3, h=1e-4)
         r2 = hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.3, h=5e-5)
         assert 3.5 < r1 / r2 < 4.5
-
-    def test_domain_guard(self, canonical):
-        field = SpinorField(lambda x: Spinor(1.0, 0.0), 3.0, domain=(-1.0, 1.0))
-        pot = soliton_potential(canonical)
-        with pytest.raises(EvaluationDomainError):
-            hamiltonian_residual(field, pot, canonical.mass, 3.0, 1.0, h=1e-3)
 
     def test_rejects_nonpositive_step(self, canonical):
         psi, _ = basis_fields(canonical, 3.0)
