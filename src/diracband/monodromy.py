@@ -17,6 +17,14 @@ the block matrices are then multiplied by a pairwise tree reduction (an
 associative scan).  The Python loop is one block long instead of one
 period long.  A single fixed-step grid of potential samples is shared
 by every energy.
+
+One RK4 step is I + D, where D is a polynomial in E whose coefficients
+depend only on h and the step's samples of m+S at x, x+h/2 and x+h: the
+diagonal entries are c0 + c2 E^2 + c4 E^4, the off-diagonal ones
+E (c1 + c3 E^2).  This is the same four-stage map, regrouped exactly
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  The coefficients
+are built once per call, and each step costs about 34 array operations
+in Horner form instead of about 100 for the four stages.
 """
 from __future__ import annotations
 
@@ -29,17 +37,19 @@ DEFAULT_STEPS = 20000
 DET_DRIFT_LIMIT = 1e-6
 
 #: blocks x energies integrated side by side; sets the block length.  On a
-#: 2 vCPU Xeon the time is flat from 2**13 to 2**16 and higher below it
-_BLOCK_ELEMENTS = 2**15
+#: 2 vCPU Xeon, 20000 steps at 701 energies take 0.49 s at 2**12, 0.41 s at
+#: 2**13 and 2**14 and 0.70 s at 2**15; 1 and 40 energies are flat there
+_BLOCK_ELEMENTS = 2**13
 
 
 def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period: float, steps: int):
     """RK4 for the fundamental matrix, all energies at once.
 
     The step grid is cut into ``n_blocks`` blocks of ``block`` steps; the
-    last block is padded with zero-width steps, which RK4 maps to the
-    identity exactly.  The RK4 recurrence runs from the identity in every
-    block at once, and ``_ordered_product`` multiplies the block matrices.
+    last block is padded with steps whose coefficients are all zero, so
+    they map to the identity exactly.  Each step builds D from E and E^2
+    in Horner form and accumulates X <- X + D + D X in every block at once,
+    from X = 0; ``_ordered_product`` then multiplies the block matrices.
     A block matrix is I + X with X small, so X is what is carried: rounding
     1 + X would lose the low digits of X in every block alike, and those
     errors would add up over the blocks instead of averaging out.
@@ -59,42 +69,42 @@ def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period
 
     def by_step(values):
         # (steps,) -> (block, n_blocks, 1): row j holds step j of every
-        # block; the padding steps get width 0 and samples 0
+        # block; the padding steps get zeros
         padded = np.pad(values, (0, pad))
         return padded.reshape(n_blocks, block).T[:, :, None]
 
-    s_lo, s_mid, s_hi = by_step(s_node[:-1]), by_step(s_half), by_step(s_node[1:])
-    h_step = by_step(np.full(steps, h))
-    hh_step = 0.5 * h_step
-    w_step = h_step / 6.0
+    # 24 times D's coefficients (module docstring), in the loop's order
+    s0, sm, s1 = s_node[:-1], s_half, s_node[1:]
+    p, q, eta, delta = h * (s0 + s1), h * h * s0 * s1, h * sm, h * (s0 - s1)
+    mu = eta * eta
+    even, odd = q * mu + 4.0 * eta * p + 4.0 * mu, 2.0 * p * mu + 4.0 * p + 16.0 * eta
+    coefficients = zip(*(by_step(c / 24.0) for c in (
+        even + odd, even - odd,
+        -h * h * (q + mu + 12.0 + 2.0 * p), -h * h * (q + mu + 12.0 - 2.0 * p),
+        np.full(steps, h**4),
+        h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0),
+        h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0),
+        -h**3 * (delta - 4.0), -h**3 * (delta + 4.0),
+    )))
     e = e.reshape(1, -1)
+    e2 = e * e
 
     x11 = np.zeros((n_blocks, e.size))
     x12 = np.zeros_like(x11)
     x21 = np.zeros_like(x11)
     x22 = np.zeros_like(x11)
 
-    def rate(s, a11, a12, a21, a22):
-        # A(x) (I + X)
-        d1, d2 = 1.0 + a11, 1.0 + a22
-        return (
-            s * d1 - e * a21,
-            s * a12 - e * d2,
-            e * d1 - s * a21,
-            e * a12 - s * d2,
+    for c0_11, c0_22, c2_11, c2_22, c4, c1_12, c1_21, c3_12, c3_21 in coefficients:
+        d11 = c0_11 + e2 * (c2_11 + c4 * e2)
+        d22 = c0_22 + e2 * (c2_22 + c4 * e2)
+        d12 = e * (c1_12 + c3_12 * e2)
+        d21 = e * (c1_21 + c3_21 * e2)
+        x11, x12, x21, x22 = (
+            x11 + d11 + (d11 * x11 + d12 * x21),
+            x12 + d12 + (d11 * x12 + d12 * x22),
+            x21 + d21 + (d21 * x11 + d22 * x21),
+            x22 + d22 + (d21 * x12 + d22 * x22),
         )
-
-    for i in range(block):
-        s0, sm, s1 = s_lo[i], s_mid[i], s_hi[i]
-        hs, hh, w = h_step[i], hh_step[i], w_step[i]
-        k1 = rate(s0, x11, x12, x21, x22)
-        k2 = rate(sm, x11 + hh * k1[0], x12 + hh * k1[1], x21 + hh * k1[2], x22 + hh * k1[3])
-        k3 = rate(sm, x11 + hh * k2[0], x12 + hh * k2[1], x21 + hh * k2[2], x22 + hh * k2[3])
-        k4 = rate(s1, x11 + hs * k3[0], x12 + hs * k3[1], x21 + hs * k3[2], x22 + hs * k3[3])
-        x11 = x11 + w * (k1[0] + 2 * (k2[0] + k3[0]) + k4[0])
-        x12 = x12 + w * (k1[1] + 2 * (k2[1] + k3[1]) + k4[1])
-        x21 = x21 + w * (k1[2] + 2 * (k2[2] + k3[2]) + k4[2])
-        x22 = x22 + w * (k1[3] + 2 * (k2[3] + k3[3]) + k4[3])
     x11, x12, x21, x22 = _ordered_product(x11, x12, x21, x22)
     shape = np.shape(energies)
     return tuple(entry.reshape(shape) for entry in (1.0 + x11, x12, x21, 1.0 + x22))

@@ -27,6 +27,11 @@ from .spinor import ScalarPotential, Spinor, SpinorField
 DEGENERATE_EPS = 1e-9
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameter set: mass, soliton steepness, half-period.
@@ -43,17 +48,17 @@ class ModelParams:
     alpha_override: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.mass < math.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        _check_positive_finite("mass", self.mass)
         if not 0 < self.gamma < self.mass:
             raise ValueError(
                 f"gamma must lie in (0, mass), got gamma={self.gamma}, mass={self.mass}"
             )
-        if not 0 < self.half_period < math.inf:
-            raise ValueError(f"half_period must be positive and finite, got {self.half_period}")
+        _check_positive_finite("half_period", self.half_period)
 
     @classmethod
     def from_lambda(cls, mass: float, lam: float, half_period: float) -> "ModelParams":
+        # the mass first: lambda's range is meaningless without a valid mass
+        _check_positive_finite("mass", mass)
         if not 0 < lam < mass:
             raise ValueError(f"lambda must lie in (0, mass), got lam={lam}, mass={mass}")
         return cls(mass, math.sqrt(mass * mass - lam * lam), half_period)

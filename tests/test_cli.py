@@ -326,6 +326,12 @@ class TestValidation:
     def test_lambda_out_of_range(self):
         assert cli.main(["potential", "--lambda", "0"]) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_mass_is_named_before_lambda(self, value, capsys):
+        # --lambda defaults to 1, whose range check depends on the mass
+        assert cli.main(["bands", "--mass", value]) == 1
+        assert capsys.readouterr().err.startswith("error: mass must be positive and finite")
+
     def test_bad_energy_window(self):
         assert cli.main(["lyapunov", "--emin", "3", "--emax", "1"]) == 1
 

@@ -146,7 +146,16 @@ class TestBlockedProduct:
     def test_matches_stepwise_loop(self, canonical, profile, n_energies, steps):
         pot = periodized_potential(canonical) if profile == "soliton" else square_well(canonical)
         es = np.random.default_rng(n_energies).uniform(-8.0, 8.0, n_energies)
-        args = (pot, canonical.mass, es, -A, 2 * A, steps)
+        self.assert_matches_stepwise_loop(pot, canonical.mass, es, steps)
+
+    def test_matches_stepwise_loop_at_high_energies(self, canonical):
+        # wider energies give the step's E^2 and E^4 terms more weight
+        es = np.random.default_rng(30).uniform(-30.0, 30.0, 40)
+        self.assert_matches_stepwise_loop(periodized_potential(canonical), canonical.mass, es, 20000)
+
+    @staticmethod
+    def assert_matches_stepwise_loop(pot, m, es, steps):
+        args = (pot, m, es, -A, 2 * A, steps)
         b11, b12, b21, b22 = monodromy._propagate(*args)
         r11, r12, r21, r22 = stepwise_propagate(*args)
         trace_ref = r11 + r22
