@@ -4,7 +4,8 @@ Subcommands compute plot-ready data artifacts (CSV or JSON) for the
 periodized one-soliton model: the potential profile, the discriminant
 trace, the band table, dispersion curves, and the self-check report.
 Artifacts are deterministic for a fixed configuration; numbers are
-written with 12 significant digits.
+written with 12 significant digits, except the band table's energies
+(edges, band bounds, e_max), which are written at round-trip precision.
 
 Exit codes: 0 success, 1 validation failure, 2 computation error,
 3 verification failure.
@@ -174,13 +175,16 @@ def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     want_negative = args.e_min < 0
     edges = [e for e in table.edges if want_negative or e >= 0]
     bands_out = [b for b in table.bands if want_negative or b.e_hi > 0]
+    # energies at round-trip precision: 12 digits can move |D| - 2 at the
+    # edge of a narrow band by 1e-5.  e_max too, since the last band's
+    # e_hi equals it and a band ending below e_max reads as complete
     data = {
-        "edges": [_round12(e) for e in edges],
+        "edges": [float(e) for e in edges],
         "bands": [
-            {"e_lo": _round12(b.e_lo), "e_hi": _round12(b.e_hi), "kind": b.kind}
+            {"e_lo": float(b.e_lo), "e_hi": float(b.e_hi), "kind": b.kind}
             for b in bands_out
         ],
-        "e_max": _round12(table.e_max),
+        "e_max": float(table.e_max),
         "tol": _round12(table.tol),
     }
     if args.verify:
@@ -190,7 +194,7 @@ def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
         numeric = monodromy.lyapunov_numeric_many(pot, params.mass, edge_arr, params.half_period)
         data["verification"] = [
             {
-                "edge": _round12(float(e)),
+                "edge": float(e),
                 "closed": _round12(float(c)),
                 "oracle": _round12(float(o)),
                 "residual": _round12(abs(float(c) - float(o))),

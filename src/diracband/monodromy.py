@@ -24,7 +24,9 @@ diagonal entries are c0 + c2 E^2 + c4 E^4, the off-diagonal ones
 E (c1 + c3 E^2).  This is the same four-stage map, regrouped exactly
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  The coefficients
 are built once per call, and each step costs about 34 array operations
-in Horner form instead of about 100 for the four stages.
+in Horner form instead of about 100 for the four stages, into buffers
+allocated once.  A(-E) = sigma_z A(E) sigma_z, and each step keeps that
+exactly in floating point, so only the distinct |E| are integrated.
 """
 from __future__ import annotations
 
@@ -47,22 +49,26 @@ def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period
 
     The step grid is cut into ``n_blocks`` blocks of ``block`` steps; the
     last block is padded with steps whose coefficients are all zero, so
-    they map to the identity exactly.  Each step builds D from E and E^2
-    in Horner form and accumulates X <- X + D + D X in every block at once,
-    from X = 0; ``_ordered_product`` then multiplies the block matrices.
-    A block matrix is I + X with X small, so X is what is carried: rounding
-    1 + X would lose the low digits of X in every block alike, and those
+    they map to the identity exactly.  Each step builds D in Horner form
+    and accumulates X <- (X + D) + D X in every block at once, from X = 0,
+    in reused buffers; ``_ordered_product`` then multiplies the block
+    matrices.  A block matrix is I + X with X small, so X is carried:
+    rounding 1 + X would lose X's low digits in every block alike, and the
     errors would add up over the blocks instead of averaging out.
+
+    Each distinct |E| is integrated once; M(-E) = sigma_z M(|E|) sigma_z
+    is exact.  ``n_blocks`` follows the requested energy count, not the
+    distinct one, so an energy's bits do not depend on its mirrors.
 
     Returns the four matrix entries as arrays shaped like ``energies``.
     """
-    e = np.asarray(energies, dtype=float)
+    energies = np.asarray(energies, dtype=float)
     h = period / steps
     xs = x0 + h * np.arange(steps + 1)
     s_node = m + potential.values(xs)
     s_half = m + potential.values(xs[:-1] + 0.5 * h)
 
-    n_blocks = max(1, min(_BLOCK_ELEMENTS // max(e.size, 1), steps))
+    n_blocks = max(1, min(_BLOCK_ELEMENTS // max(energies.size, 1), steps))
     block = -(-steps // n_blocks)
     n_blocks = -(-steps // block)
     pad = n_blocks * block - steps
@@ -86,28 +92,37 @@ def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period
         h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0),
         -h**3 * (delta - 4.0), -h**3 * (delta + 4.0),
     )))
-    e = e.reshape(1, -1)
+    e, back = np.unique(np.abs(energies).ravel(), return_inverse=True)
     e2 = e * e
 
-    x11 = np.zeros((n_blocks, e.size))
-    x12 = np.zeros_like(x11)
-    x21 = np.zeros_like(x11)
-    x22 = np.zeros_like(x11)
-
+    x11, x12, x21, x22, d11, d12, d21, d22, t1, t2, t3 = np.zeros((11, n_blocks, e.size))
     for c0_11, c0_22, c2_11, c2_22, c4, c1_12, c1_21, c3_12, c3_21 in coefficients:
-        d11 = c0_11 + e2 * (c2_11 + c4 * e2)
-        d22 = c0_22 + e2 * (c2_22 + c4 * e2)
-        d12 = e * (c1_12 + c3_12 * e2)
-        d21 = e * (c1_21 + c3_21 * e2)
-        x11, x12, x21, x22 = (
-            x11 + d11 + (d11 * x11 + d12 * x21),
-            x12 + d12 + (d11 * x12 + d12 * x22),
-            x21 + d21 + (d21 * x11 + d22 * x21),
-            x22 + d22 + (d21 * x12 + d22 * x22),
-        )
-    x11, x12, x21, x22 = _ordered_product(x11, x12, x21, x22)
-    shape = np.shape(energies)
-    return tuple(entry.reshape(shape) for entry in (1.0 + x11, x12, x21, 1.0 + x22))
+        # D in place: d11 = c0 + e2 (c2 + c4 e2), d12 = e (c1 + c3 e2)
+        np.multiply(c4, e2, out=t1)
+        for d, c0, c2 in ((d11, c0_11, c2_11), (d22, c0_22, c2_22)):
+            np.add(c2, t1, out=d)
+            np.multiply(d, e2, out=d)
+            np.add(d, c0, out=d)
+        for d, c1, c3 in ((d12, c1_12, c3_12), (d21, c1_21, c3_21)):
+            np.multiply(c3, e2, out=d)
+            np.add(d, c1, out=d)
+            np.multiply(d, e, out=d)
+        # X <- (X + D) + D X, one column of X at a time
+        for xa, xb, da, db in ((x11, x21, d11, d21), (x12, x22, d12, d22)):
+            np.multiply(d11, xa, out=t1)
+            np.multiply(d12, xb, out=t2)
+            np.add(t1, t2, out=t1)
+            np.multiply(d21, xa, out=t3)
+            np.multiply(d22, xb, out=t2)
+            np.add(t3, t2, out=t3)
+            np.add(xa, da, out=xa)
+            np.add(xa, t1, out=xa)
+            np.add(xb, db, out=xb)
+            np.add(xb, t3, out=xb)
+    product = _ordered_product(x11, x12, x21, x22)
+    x11, x12, x21, x22 = (x[back].reshape(energies.shape) for x in product)
+    sign = np.where(energies < 0, -1.0, 1.0)
+    return 1.0 + x11, sign * x12, sign * x21, 1.0 + x22
 
 
 def _ordered_product(x11, x12, x21, x22):

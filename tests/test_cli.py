@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import count_crossings
-from diracband import ModelParams, cli, potential_s1
+from diracband import ModelParams, band_edges, cli, lyapunov_many, potential_s1
 from diracband.verify import REFERENCE_EDGES
 
 
@@ -203,7 +203,27 @@ class TestBandsCommand:
         edges = bands_doc["data"]["edges"]
         neg = sorted(-e for e in edges if e < 0)
         pos = sorted(e for e in edges if e > 0)
-        assert neg == pytest.approx(pos, abs=1e-12)
+        assert neg == pos
+
+    def test_narrow_band_edges_round_trip(self, tmp_path):
+        # an allowed band 7e-7 wide at E = 2.5396: rounded to 12 digits its
+        # upper edge reads |D| - 2 = 1.7e-5
+        params = ModelParams(3.916126470242469, 2.9810453672304136, 2.9369025569032225)
+        e_max = params.mass + 5.0
+        code, text = run(["bands", "--mass", repr(params.mass), "--gamma", repr(params.gamma),
+                          "--half-period", repr(params.half_period), "--emin", repr(-e_max),
+                          "--emax", repr(e_max), "--verify"], tmp_path, "b.json")
+        assert code == 0
+        data = json.loads(text)["data"]
+        table = band_edges(params, e_max=e_max, tol=1e-6)
+        assert data["edges"] == list(table.edges)
+        assert [v["edge"] for v in data["verification"]] == data["edges"]
+        assert [(b["e_lo"], b["e_hi"]) for b in data["bands"]] == [
+            (b.e_lo, b.e_hi) for b in table.bands]
+        # the last band ends at e_max, so it stays incomplete
+        assert data["e_max"] == table.e_max == data["bands"][-1]["e_hi"]
+        edges = np.array(data["edges"])
+        assert np.max(np.abs(np.abs(lyapunov_many(params, edges)) - 2.0)) < 1e-6
 
     def test_oracle_residuals(self, bands_doc):
         checks = bands_doc["data"]["verification"]

@@ -153,6 +153,28 @@ class TestBlockedProduct:
         es = np.random.default_rng(30).uniform(-30.0, 30.0, 40)
         self.assert_matches_stepwise_loop(periodized_potential(canonical), canonical.mass, es, 20000)
 
+    @pytest.mark.parametrize("profile", ["soliton", "square-well"])
+    def test_mirrors_and_repeats_are_exact(self, canonical, profile):
+        # A(-E) = sigma_z A(E) sigma_z and each RK4 step keeps it exactly, so
+        # E and -E share one integration: m11, m22 equal, m12, m21 negated
+        pot = periodized_potential(canonical) if profile == "soliton" else square_well(canonical)
+        es = np.array([[0.0, 1.7, 3.3, -1.7, 7.9, 2.0], [-3.3, -0.0, 3.3, -7.9, 1.7, -2.0]])
+        entries = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
+        assert all(entry.shape == es.shape for entry in entries)
+        m11, m12, m21, m22 = (entry.ravel() for entry in entries)
+        flat = es.ravel()
+        sign = np.where(flat < 0, -1.0, 1.0)
+        same = np.abs(flat)[:, None] == np.abs(flat)[None, :]
+        for entry in (m11, m22, sign * m12, sign * m21):
+            assert np.all((entry[:, None] == entry[None, :])[same])
+        # blocks follow the requested energy count, not the distinct one, so
+        # mirrors and repeats leave an energy's bits as they would be without
+        others = np.linspace(10.0, 11.0, flat.size)
+        others[1] = flat[1]
+        alone = monodromy._propagate(pot, canonical.mass, others, -A, 2 * A, 2000)
+        assert all(a[1] == b[1] for a, b in zip(alone, (m11, m12, m21, m22)))
+        self.assert_matches_stepwise_loop(pot, canonical.mass, flat, 2000)
+
     @staticmethod
     def assert_matches_stepwise_loop(pot, m, es, steps):
         args = (pot, m, es, -A, 2 * A, steps)
