@@ -122,6 +122,19 @@ def regime(params: ModelParams, energy: float) -> str:
     return "propagating" if abs(energy) > m else "evanescent"
 
 
+def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
+    """``np.linspace(e_min, e_max, samples)``, except that on a window
+    symmetric about 0 the first half is the exact negation of the last,
+    reversed: linspace's halves differ by an ulp or two of e_max.  The
+    middle sample of an odd count keeps linspace's value, 0 up to such an
+    ulp."""
+    es = np.linspace(e_min, e_max, samples)
+    if e_min == -e_max:
+        half = samples // 2
+        es[:half] = -es[::-1][:half]
+    return es
+
+
 def lyapunov_trace(
     params: ModelParams, e_min: float, e_max: float, samples: int
 ) -> list[tuple[float, float, str]]:
@@ -130,7 +143,7 @@ def lyapunov_trace(
         raise ValueError("samples must be >= 2")
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
-    es = np.linspace(e_min, e_max, samples)
+    es = energy_grid(e_min, e_max, samples)
     ds = lyapunov_many(params, es)
     return [(float(e), float(d), regime(params, e)) for e, d in zip(es, ds)]
 

@@ -3,8 +3,10 @@
 Subcommands compute plot-ready data artifacts (CSV or JSON) for the
 periodized one-soliton model: the potential profile, the discriminant
 trace, the band table, dispersion curves, and the self-check report.
-Artifacts are deterministic for a fixed configuration; numbers are
-written with 12 significant digits, except the band table's energies
+Artifacts are deterministic for a fixed configuration on one machine and
+BLAS build (the oracle evaluates its step polynomials by matrix
+products, whose last bits may differ on another CPU or BLAS); numbers
+are written with 12 significant digits, except the band table's energies
 (edges, band bounds, e_max), which are written at round-trip precision.
 
 Exit codes: 0 success, 1 validation failure, 2 computation error,
@@ -150,7 +152,7 @@ def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[
     """Discriminant trace, columns `e,d,regime`."""
     if args.potential_file is not None:
         pot = _tabulated_potential(args.potential_file, params)
-        es = np.linspace(args.e_min, args.e_max, args.samples)
+        es = bands.energy_grid(args.e_min, args.e_max, args.samples)
         ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period)
         rows = [(float(e), float(d), bands.regime(params, e)) for e, d in zip(es, ds)]
     else:

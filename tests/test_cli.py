@@ -130,6 +130,23 @@ class TestLyapunovCommand:
         ds = [float(r[1]) for r in rows]
         assert all(abs(a - b) < 1e-10 for a, b in zip(ds, reversed(ds)))
 
+    def test_symmetric_tabulated_trace_is_exactly_even(self, tmp_path, canonical):
+        # the grid's first half is the exact negation of its last half, so
+        # E and -E share one oracle integration and D matches bit for bit
+        xs = np.linspace(-1.0, 1.0, 401)
+        table = tmp_path / "pot.csv"
+        table.write_text(
+            "\n".join(f"{x:.17g},{s:.17g}" for x, s in zip(xs, potential_s1(canonical, xs))),
+            encoding="utf-8",
+        )
+        args = cli.build_parser().parse_args(
+            ["lyapunov", "--potential-file", str(table), "--emin", "-7", "--emax", "7"])
+        rows = cli.cmd_lyapunov(args, canonical)
+        es = np.array([row["e"] for row in rows])
+        ds = np.array([row["d"] for row in rows])
+        assert len(rows) == 701 and np.array_equal(es, -es[::-1])
+        assert ds.tobytes() == ds[::-1].tobytes()
+
     def test_tabulated_potential_matches_closed_form(self, tmp_path, canonical):
         xs = np.linspace(-1.0, 1.0, 4001)
         ss = potential_s1(canonical, xs)

@@ -128,8 +128,10 @@ class TestMonodromyInvariants:
 
 class TestBlockedProduct:
     """The blocked product must reproduce the step-by-step loop to
-    rounding, with one-step and multi-step blocks, odd block counts, and
-    step counts the block length does not divide (padded last block)."""
+    rounding, with one-step and multi-step blocks, odd block counts, step
+    counts the block length does not divide (padded last block), and one
+    to eight steps fused (1, 20, 40 and 701 energies; 100 energies at 101
+    steps pad blocks of two steps to eight)."""
 
     @pytest.mark.parametrize(
         "profile, n_energies, steps",
@@ -141,6 +143,8 @@ class TestBlockedProduct:
             ("square-well", 1, 20000),
             ("square-well", 40, 250),
             ("square-well", 701, 101),
+            ("soliton", 20, 20000),
+            ("square-well", 100, 101),
         ],
     )
     def test_matches_stepwise_loop(self, canonical, profile, n_energies, steps):
@@ -167,12 +171,29 @@ class TestBlockedProduct:
         same = np.abs(flat)[:, None] == np.abs(flat)[None, :]
         for entry in (m11, m22, sign * m12, sign * m21):
             assert np.all((entry[:, None] == entry[None, :])[same])
-        # blocks follow the requested energy count, not the distinct one, so
-        # mirrors and repeats leave an energy's bits as they would be without
-        others = np.linspace(10.0, 11.0, flat.size)
-        others[1] = flat[1]
-        alone = monodromy._propagate(pot, canonical.mass, others, -A, 2 * A, 2000)
-        assert all(a[1] == b[1] for a, b in zip(alone, (m11, m12, m21, m22)))
+        # blocks and fused steps follow the requested energy count, not the
+        # distinct one, and each energy's step polynomials are evaluated on
+        # their own, so the other energies of a call of the same size
+        # (mirrors, repeats, random neighbours) leave an energy's bits as
+        # they would be without them; 64 energies fuse eight steps, 12 none
+        rng = np.random.default_rng(7)
+        for size in (flat.size, 64):
+            mirrored = np.resize(flat, size)
+            mirrored[size // 2:] = -mirrored[: size - size // 2]
+            neighbour_sets = [mirrored, np.linspace(10.0, 11.0, size)]
+            neighbour_sets += [rng.uniform(-8.0, 8.0, size) for _ in range(4)]
+            for others in neighbour_sets:
+                others[1] = flat[1]
+            bits = {
+                b"".join(entry[1].tobytes() for entry in monodromy._propagate(
+                    pot, canonical.mass, others, -A, 2 * A, 2000))
+                for others in neighbour_sets
+            }
+            assert len(bits) == 1
+            if size == flat.size:
+                assert bits == {b"".join(x[1].tobytes() for x in (m11, m12, m21, m22))}
+        again = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, entries))
         self.assert_matches_stepwise_loop(pot, canonical.mass, flat, 2000)
 
     @staticmethod
@@ -213,6 +234,13 @@ class TestGuards:
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
+
+    def test_unstable_energy_raises_without_warnings(self, canonical):
+        # h|E| = 10 at the default step: RK4 blows up and the entries
+        # overflow; the suite turns any RuntimeWarning into an error
+        pot = periodized_potential(canonical)
+        with pytest.raises(StepCountTooSmall, match=r"^det drifted by nan at E=100000\.0 "):
+            lyapunov_numeric_many(pot, canonical.mass, np.array([3.0, 1e5]), A)
 
     def test_non_finite_monodromy_raises(self, canonical):
         # NaN > limit is false, so a NaN drift must fail the check, not pass it
