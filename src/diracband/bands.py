@@ -72,33 +72,42 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     """Vectorized discriminant D(E), real and even in E; defined at every
     real energy (see the module docstring for the formula)."""
     m, g, a = params.mass, params.gamma, params.half_period
-    w1, w2 = w_functions(params, a)
+    # the per-model constants, computed once per call as Python floats
+    w1, w2 = (float(w) for w in w_functions(params, a))
+    alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
+    beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
+    two_a, two_w = 2.0 * a, 2.0 * (w1 + w2)
     e = np.asarray(energies, dtype=float)
     q = e * e - m * m
     root = np.sqrt(np.abs(q))
-    phase = 2.0 * a * root
+    phase = two_a * root
     propagating = q >= 0
+    evanescent = ~propagating
     c = np.empty_like(q)
     np.cos(phase, out=c, where=propagating)
-    np.cosh(phase, out=c, where=~propagating)
+    np.cosh(phase, out=c, where=evanescent)
     s = np.empty_like(q)
     np.sin(phase, out=s, where=propagating)
-    np.sinh(phase, out=s, where=~propagating)
-    s = np.divide(s, root, out=np.full_like(q, 2.0 * a), where=root != 0)
+    np.sinh(phase, out=s, where=evanescent)
+    if np.count_nonzero(root) < root.size:  # S = 2a at |E| = m
+        s = np.divide(s, root, out=np.full_like(q, two_a), where=root != 0)
+    else:
+        s /= root
 
-    alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
-    beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
     shifted = q + g * g
     near = np.abs(shifted) < 0.1 * g * g
-    tail = np.divide(alpha * c + beta * s, shifted, out=np.empty_like(q), where=~near)
-    if near.any():
+    tail = alpha * c + beta * s
+    if np.count_nonzero(near):
+        np.divide(tail, shifted, out=tail, where=~near)
         kap = np.sqrt(-q[near])
         u, v = kap - g, kap + g
         ratio_u = np.divide(np.sinh(a * u), u, out=np.full_like(u, a), where=u != 0)
         dc = -2.0 * np.sinh(a * v) / v * ratio_u
-        ds = (np.sinh(2.0 * a * g) - 2.0 * g * np.cosh(a * v) * ratio_u) / (kap * g * v)
+        ds = (np.sinh(two_a * g) - 2.0 * g * np.cosh(a * v) * ratio_u) / (kap * g * v)
         tail[near] = alpha * dc + beta * ds
-    return 2.0 * c - 2.0 * (w1 + w2) * s + tail
+    else:
+        tail /= shifted
+    return 2.0 * c - two_w * s + tail
 
 
 def lyapunov(params: ModelParams, energy: float) -> float:
@@ -126,12 +135,13 @@ def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
     """``np.linspace(e_min, e_max, samples)``, except that on a window
     symmetric about 0 the first half is the exact negation of the last,
     reversed: linspace's halves differ by an ulp or two of e_max.  The
-    middle sample of an odd count keeps linspace's value, 0 up to such an
-    ulp."""
+    middle sample of an odd count is exactly 0, where linspace may leave
+    such an ulp."""
     es = np.linspace(e_min, e_max, samples)
     if e_min == -e_max:
         half = samples // 2
         es[:half] = -es[::-1][:half]
+        es[half:samples - half] = 0.0
     return es
 
 
@@ -171,12 +181,20 @@ def check_scan_window(params: ModelParams, e_max: float) -> None:
         )
 
 
+#: the interior zoom points as fractions of their bracket
+_FRACTIONS = np.arange(1, ZOOM_WAYS) / ZOOM_WAYS
+
+
 def _refine(params: ModelParams, lo, hi, dlo, dhi):
     """Split every bracket into ZOOM_WAYS cells: the (brackets, ZOOM_WAYS+1)
     energies and D values, with the interior evaluated in one call."""
-    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, ZOOM_WAYS) / ZOOM_WAYS)
-    d_inner = lyapunov_many(params, inner.ravel()).reshape(inner.shape)
-    return np.column_stack([lo, inner, hi]), np.column_stack([dlo, d_inner, dhi])
+    inner = (hi - lo)[:, None] * _FRACTIONS
+    inner += lo[:, None]
+    xs, ds = np.empty((2, lo.size, ZOOM_WAYS + 1))
+    xs[:, 0], xs[:, 1:-1], xs[:, -1] = lo, inner, hi
+    ds[:, 0], ds[:, -1] = dlo, dhi
+    ds[:, 1:-1] = lyapunov_many(params, inner.ravel()).reshape(inner.shape)
+    return xs, ds
 
 
 def _zoom_extrema(params: ModelParams, lo, hi, dlo, dhi, sign, tol: float):

@@ -63,12 +63,8 @@ def _check_sampling(args: argparse.Namespace) -> None:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _round12(value: float) -> float:
-    return float(_fmt(value))
+    return float(f"{value:.12g}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -88,9 +84,10 @@ def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data)
     in rows are written at 12 significant digits; a document is written
     as given."""
     if args.output_format == "csv":
+        # one format per row, typed from the first: "%.12g" % v is f"{v:.12g}"
+        row_format = ",".join("%.12g" if isinstance(v, float) else "%s" for v in data[0].values())
         lines = [",".join(data[0])]
-        for row in data:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
+        lines.extend(row_format % tuple(row.values()) for row in data)
         _write_text(args.out, "\n".join(lines) + "\n")
         return
     if isinstance(data, list):
@@ -288,10 +285,15 @@ _COMMANDS = {
 }
 
 
+#: main's parser, built on its first call (not at import) and then reused
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()  # parse_args keeps no state between calls
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.output_format is None:
             args.output_format = "json" if args.command in JSON_ONLY else "csv"
         elif args.output_format == "csv" and args.command in JSON_ONLY:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from diracband import Kinematics, ModelParams, Spinor, SpinorField, lyapunov_many
+from diracband.bands import ZOOM_WAYS
+from diracband.soliton import w_functions
 
 FloquetPair = namedtuple("FloquetPair", "beta1 beta2")
 
@@ -72,3 +74,45 @@ def crossing_brackets(params: ModelParams, e_max: float, step: float) -> list[tu
         k = np.nonzero(above[:-1] != above[1:])[0]
         out.extend((float(xs[j]), float(xs[j + 1]), line) for j in k)
     return sorted(out)
+
+
+def reference_lyapunov_many(params: ModelParams, energies) -> np.ndarray:
+    """The discriminant as written before its per-call costs were cut: one
+    where= division for the tail and numpy-scalar constants.  The library's
+    lyapunov_many must return the same bits."""
+    m, g, a = params.mass, params.gamma, params.half_period
+    w1, w2 = w_functions(params, a)
+    e = np.asarray(energies, dtype=float)
+    q = e * e - m * m
+    root = np.sqrt(np.abs(q))
+    phase = 2.0 * a * root
+    propagating = q >= 0
+    c = np.empty_like(q)
+    np.cos(phase, out=c, where=propagating)
+    np.cosh(phase, out=c, where=~propagating)
+    s = np.empty_like(q)
+    np.sin(phase, out=s, where=propagating)
+    np.sinh(phase, out=s, where=~propagating)
+    s = np.divide(s, root, out=np.full_like(q, 2.0 * a), where=root != 0)
+
+    alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
+    beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
+    shifted = q + g * g
+    near = np.abs(shifted) < 0.1 * g * g
+    tail = np.divide(alpha * c + beta * s, shifted, out=np.empty_like(q), where=~near)
+    if near.any():
+        kap = np.sqrt(-q[near])
+        u, v = kap - g, kap + g
+        ratio_u = np.divide(np.sinh(a * u), u, out=np.full_like(u, a), where=u != 0)
+        dc = -2.0 * np.sinh(a * v) / v * ratio_u
+        ds = (np.sinh(2.0 * a * g) - 2.0 * g * np.cosh(a * v) * ratio_u) / (kap * g * v)
+        tail[near] = alpha * dc + beta * ds
+    return 2.0 * c - 2.0 * (w1 + w2) * s + tail
+
+
+def reference_refine(params: ModelParams, lo, hi, dlo, dhi):
+    """The edge zoom's bracket split as written before it filled its arrays
+    in place, on reference_lyapunov_many."""
+    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, ZOOM_WAYS) / ZOOM_WAYS)
+    d_inner = reference_lyapunov_many(params, inner.ravel()).reshape(inner.shape)
+    return np.column_stack([lo, inner, hi]), np.column_stack([dlo, d_inner, dhi])

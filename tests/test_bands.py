@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_crossings, crossing_brackets, floquet_multipliers
+from conftest import (
+    count_crossings,
+    crossing_brackets,
+    floquet_multipliers,
+    reference_lyapunov_many,
+    reference_refine,
+)
 from diracband import (
     Band,
     DegenerateEnergy,
@@ -17,6 +23,8 @@ from diracband import (
     lyapunov_trace,
     periodized_potential,
 )
+from diracband import bands
+from diracband.bands import energy_grid
 from diracband.verify import REFERENCE_EDGES
 
 # ninth |D| = 2 energy below 7, beyond the eight reference values; located
@@ -35,6 +43,17 @@ REMOVABLE_POINT_SETS = {
     "m5-g0.7-a2": (5.0, 0.7, 2.0),
     "m1-g0.3-a0.5": (1.0, 0.3, 0.5),
 }
+
+
+def seeded_sets(seed: int, n: int) -> list[ModelParams]:
+    """n parameter sets over the whole valid space: m in [0.5, 5],
+    gamma/m in [0.05, 0.95], a in [0.3, 3]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        m = rng.uniform(0.5, 5.0)
+        out.append(ModelParams(m, m * rng.uniform(0.05, 0.95), rng.uniform(0.3, 3.0)))
+    return out
 
 
 class TestLyapunov:
@@ -321,3 +340,40 @@ class TestFreeLimit:
             b for b in table.bands if b.kind == "allowed" and b.e_hi > params.mass
         ]
         assert sum(b.e_hi - max(b.e_lo, params.mass) for b in allowed_above) > 4.9
+
+
+class TestReferenceBits:
+    """lyapunov_many and the edge zoom give the bits of their reference
+    forms in conftest, which pay more per call for the same arithmetic."""
+
+    def test_discriminant_matches_reference(self, canonical):
+        rng = np.random.default_rng(20261018)
+        for params in [canonical] + seeded_sets(1, 30):
+            m, lam = params.mass, params.lam
+            special = np.array([0.0, m, -m] + [s * lam * (1.0 + d) for s in (1.0, -1.0)
+                                               for d in (0.0, 1e-6, -1e-6)])
+            es = np.concatenate([special, lam + rng.normal(0.0, 1e-3, 200),
+                                 rng.uniform(-12.0, 12.0, 2000 - special.size - 200)])
+            # all at once, then each special energy alone: every branch taken by a whole call
+            for x in [es, *([e] for e in special)]:
+                assert np.array_equal(lyapunov_many(params, x), reference_lyapunov_many(params, x)), params
+
+    def test_band_tables_match_reference(self, canonical, monkeypatch):
+        sets = [canonical] + seeded_sets(2, 20)
+        tables = [band_edges(p, e_max=p.mass + 5.0, tol=1e-6) for p in sets]
+        monkeypatch.setattr(bands, "lyapunov_many", reference_lyapunov_many)
+        monkeypatch.setattr(bands, "_refine", reference_refine)
+        for p, table in zip(sets, tables):
+            assert band_edges(p, e_max=p.mass + 5.0, tol=1e-6) == table, p
+
+
+class TestEnergyGrid:
+    def test_symmetric_odd_grid_has_exact_zero(self):
+        rng = np.random.default_rng(20261018)
+        for e_max in [6.3, *rng.uniform(1.0, 10.0, 100)]:
+            es = energy_grid(-e_max, e_max, 701)
+            assert es[350] == 0.0 and not np.signbit(es[350]), e_max
+            assert np.array_equal(es[:350], -es[:350:-1]), e_max
+        # an even count has no middle sample, and other windows are linspace's
+        assert np.count_nonzero(energy_grid(-3.0, 3.0, 700)) == 700
+        assert np.array_equal(energy_grid(-2.0, 3.0, 11), np.linspace(-2.0, 3.0, 11))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -442,3 +443,61 @@ class TestValidation:
     def test_derived_pair_identity_unquantized(self):
         params = cli._model(cli.build_parser().parse_args(["bands", "--gamma", "1.3"]))
         assert params.mass**2 == pytest.approx(params.gamma**2 + params.lam**2, abs=1e-12)
+
+
+class TestSharedParser:
+    # flags of one call must not reach the next: --verify, a rejected
+    # --lambda/--gamma pair and --format json, then the defaults again
+    CALLS = (
+        ["bands", "--verify", "--emax", "3"],
+        ["potential", "--lambda", "1", "--gamma", "1"],
+        ["potential", "--format", "json", "--samples", "5"],
+        ["bands", "--emax", "3"],
+        ["potential", "--samples", "5"],
+    )
+
+    def test_no_state_between_calls(self, monkeypatch, capsys):
+        def call(argv):
+            code = cli.main(argv)  # the artifact goes to stdout
+            return (code, *capsys.readouterr())
+
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [call(argv) for argv in self.CALLS]
+        built = cli._parser
+        assert built is not None
+        assert call(["potential", "--samples", "3"])[0] == 0 and cli._parser is built
+        fresh = []
+        for argv in self.CALLS:
+            monkeypatch.setattr(cli, "_parser", cli.build_parser())
+            fresh.append(call(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0]
+        assert shared[1][2].startswith("usage: diracband potential")
+        assert '"verification"' in shared[0][1] and '"verification"' not in shared[3][1]
+        assert shared[2][1].startswith("{") and shared[4][1].startswith("x,s1\n")
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import diracband.cli as c; print(c._parser)"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0 and proc.stdout == "None\n"
+
+
+def test_csv_bytes_locked(tmp_path, canonical):
+    # the writer's lines are f"{v:.12g}" per float and str per text column,
+    # in the rows' key order
+    values = [-0.0, 1e-5, 1e16, 123456789012.5, 1e-300, 1.0 / 3.0, -2.5, 7.0]
+    regimes = ["evanescent", "limit", "propagating"] * 3
+    rows = [{"e": v, "d": -v / 7.0, "regime": r} for v, r in zip(values, regimes)]
+    path = tmp_path / "rows.csv"
+    args = argparse.Namespace(output_format="csv", out=str(path), command="lyapunov")
+    cli._write_artifact(args, canonical, rows)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    expected = [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values())
+                for row in rows]
+    assert lines == ["e,d,regime", *expected, ""]
+    assert [line.split(",")[0] for line in lines[1:-1]] == [
+        "-0", "1e-05", "1e+16", "123456789012", "1e-300", "0.333333333333", "-2.5", "7"]
+    assert lines[1] == "-0,0,evanescent" and lines[2] == "1e-05,-1.42857142857e-06,limit"
