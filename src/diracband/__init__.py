@@ -24,7 +24,6 @@ from .errors import (
 )
 from .monodromy import lyapunov_numeric_many
 from .soliton import (
-    Kinematics,
     ModelParams,
     basis_fields,
     basis_spinors,
@@ -49,7 +48,6 @@ __all__ = [
     "BandTable",
     "DegenerateEnergy",
     "DiracBandError",
-    "Kinematics",
     "ModelParams",
     "NotAllowedBand",
     "ScalarPotential",

@@ -16,8 +16,9 @@ the factor E and leaves a real function of q = E^2 - m^2 = k^2 alone:
     C = cosh(2a kap),    S = sinh(2a kap)/kap, kap^2 = -q  for q < 0
     C = 1,               S = 2a                            at q = 0
 
-with w1,2 = w1,2(a).  D depends on E only through q, so it is even in E
-by construction, and it is regular at E = 0 and |E| = m.
+with w1,2 = w1,2(a); C and S are soliton.free_pair at x = 2a.  D depends
+on E only through q, so it is even in E by construction, and it is
+regular at E = 0 and |E| = m.
 
 The pole at q = -g^2 (|E| = lam) is removable.  Splitting off the part
 of the numerator that is polynomial in q gives
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergy, NotAllowedBand
-from .soliton import DEGENERATE_EPS, ModelParams, w_functions
+from .errors import NotAllowedBand
+from .soliton import DEGENERATE_EPS, ModelParams, free_pair, w_functions
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,7 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     two_a, two_w = 2.0 * a, 2.0 * (w1 + w2)
     e = np.asarray(energies, dtype=float)
     q = e * e - m * m
-    root = np.sqrt(np.abs(q))
-    phase = two_a * root
-    propagating = q >= 0
-    evanescent = ~propagating
-    c = np.empty_like(q)
-    np.cos(phase, out=c, where=propagating)
-    np.cosh(phase, out=c, where=evanescent)
-    s = np.empty_like(q)
-    np.sin(phase, out=s, where=propagating)
-    np.sinh(phase, out=s, where=evanescent)
-    if np.count_nonzero(root) < root.size:  # S = 2a at |E| = m
-        s = np.divide(s, root, out=np.full_like(q, two_a), where=root != 0)
-    else:
-        s /= root
+    c, s = free_pair(q, two_a)
 
     shifted = q + g * g
     near = np.abs(shifted) < 0.1 * g * g
@@ -111,24 +99,18 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
 
 
 def lyapunov(params: ModelParams, energy: float) -> float:
-    """Discriminant at one energy.
-
-    Raises DegenerateEnergy within DEGENERATE_EPS of |E| = m, where the
-    paper's expression is 0/0; lyapunov_many and the trace builder return
-    the value of the real form there.
-    """
-    if abs(energy * energy - params.mass**2) < DEGENERATE_EPS:
-        raise DegenerateEnergy(f"E={energy} within {DEGENERATE_EPS} of |E|=m={params.mass}")
+    """Discriminant at one energy: lyapunov_many at [energy]."""
     return float(lyapunov_many(params, np.array([energy]))[0])
 
 
-def regime(params: ModelParams, energy: float) -> str:
+def regimes(params: ModelParams, energies) -> list[str]:
     """"limit" within DEGENERATE_EPS of |E| = m, the boundary between
-    "evanescent" (|E| < m) and "propagating" (|E| > m)."""
+    "evanescent" (|E| < m) and "propagating" (|E| > m), for every energy."""
+    e = np.asarray(energies, dtype=float)
     m = params.mass
-    if abs(energy * energy - m * m) < DEGENERATE_EPS:
-        return "limit"
-    return "propagating" if abs(energy) > m else "evanescent"
+    labels = np.where(np.abs(e) > m, "propagating", "evanescent")
+    labels[np.abs(e * e - m * m) < DEGENERATE_EPS] = "limit"
+    return labels.tolist()
 
 
 def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
@@ -148,14 +130,14 @@ def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
 def lyapunov_trace(
     params: ModelParams, e_min: float, e_max: float, samples: int
 ) -> list[tuple[float, float, str]]:
-    """Evenly sampled (E, D, regime) rows; see regime for the labels."""
+    """Evenly sampled (E, D, regime) rows; see regimes for the labels."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     es = energy_grid(e_min, e_max, samples)
     ds = lyapunov_many(params, es)
-    return [(float(e), float(d), regime(params, e)) for e, d in zip(es, ds)]
+    return list(zip(es.tolist(), ds.tolist(), regimes(params, es)))
 
 
 #: scan points per period of cos(2ak): above the mass dE <= dk, so a step

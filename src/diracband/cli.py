@@ -151,7 +151,7 @@ def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[
         pot = _tabulated_potential(args.potential_file, params)
         es = bands.energy_grid(args.e_min, args.e_max, args.samples)
         ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period)
-        rows = [(float(e), float(d), bands.regime(params, e)) for e, d in zip(es, ds)]
+        rows = zip(es.tolist(), ds.tolist(), bands.regimes(params, es))
     else:
         rows = bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples)
     return [{"e": e, "d": d, "regime": r} for e, d, r in rows]

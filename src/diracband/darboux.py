@@ -109,12 +109,12 @@ def intertwining_check(
         raise ValueError("step h must be positive")
     s1 = transformed_s if transformed_s is not None else (lambda y: transformed_potential(seed, y))
 
-    def h0_psi(y: float) -> tuple[complex, complex]:
+    def h0_psi(y: float) -> tuple[float, float]:
         v, dv = psi(y), psi.d(y)
         p = seed.mass + float(seed.s0(y))
         return dv.c2 + p * v.c2, -dv.c1 + p * v.c1
 
-    def l_psi(y: float) -> tuple[complex, complex]:
+    def l_psi(y: float) -> tuple[float, float]:
         g1, g2 = seed.log_derivatives(y)
         v, dv = psi(y), psi.d(y)
         return dv.c1 - g1 * v.c1, dv.c2 - g2 * v.c2
@@ -132,4 +132,4 @@ def intertwining_check(
     p1 = seed.mass + float(s1(x))
     rhs = (db[1] + p1 * b0[1], -db[0] + p1 * b0[0])
 
-    return math.hypot(abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
+    return math.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])

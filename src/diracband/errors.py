@@ -6,7 +6,8 @@ class DiracBandError(Exception):
 
 
 class DegenerateEnergy(DiracBandError):
-    """Energy too close to a point where the closed forms are singular."""
+    """Energy within DEGENERATE_EPS of |E| = lambda, the removable pole of
+    the closed-form solutions U(x; E); the discriminant is regular there."""
 
 
 class SingularTransform(DiracBandError):

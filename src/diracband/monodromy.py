@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .spinor import ScalarPotential
+from .spinor import ScalarPotential, det_drift
 
 DEFAULT_STEPS = 20000
 DET_DRIFT_LIMIT = 1e-6
@@ -221,14 +221,10 @@ def _ordered_product(x11, x12, x21, x22):
 def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
     """Raise StepCountTooSmall when det M drifts from 1 by more than
     DET_DRIFT_LIMIT at any energy, or is not finite: the step is too
-    coarse there.
-
-    The drift is scaled by max(1, max|M_ij|^2): m11*m22 - m12*m21 cancels
-    two products of that size, so rounding alone moves det M by about
-    eps * max|M_ij|^2 when the cell is strongly evanescent.
+    coarse there.  The drift is scaled by max(1, max|M_ij|^2), the
+    rounding scale of det M in a strongly evanescent cell (det_drift).
     """
-    scale = np.maximum(1.0, np.max(np.abs([m11, m12, m21, m22]), axis=0))
-    drift = np.abs(m11 * m22 - m12 * m21 - 1.0) / (scale * scale)
+    drift = det_drift(m11, m12, m21, m22)
     if drift.size and not drift.max() <= DET_DRIFT_LIMIT:  # NaN fails too
         worst = energies.ravel()[int(np.argmax(drift))]
         raise StepCountTooSmall(

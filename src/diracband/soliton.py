@@ -7,14 +7,25 @@ half-period a.  Everything else is derived:
     alpha = (1/4) ln((m-gamma)/(m+gamma))
     s1(x) = -2 gamma^2 / (m + lam cosh(2 gamma x))
 
-The basis solutions at arbitrary energy are elementary; they are
-evaluated in complex arithmetic with the branch Im k >= 0 so the same
-expressions cover the propagating (|E| > m) and evanescent (|E| < m)
-regimes.
+The solutions at any energy are elementary and real.  The soliton
+problem is the Darboux transform of the free one (darboux.soliton_seed):
+the intertwiner L = d/dx - diag(w1, w2) maps a free solution, psi' =
+A0 psi with A0 = [[m, -E], [E, -m]], to B(x) psi with
+
+    B(x) = [[m - w1(x), -E], [E, -m - w2(x)]].
+
+A0^2 = -q I with q = E^2 - m^2, so the free fundamental matrix is
+exp(A0 x) = C I + S A0 (free_pair), and
+
+    U(x; E) = Phi(x) Phi(0)^-1 = B(x) (C I + S A0) adj B(0) / (q + gamma^2)
+
+since det B(x) = q + gamma^2 at every x (tanh 2 alpha = -gamma/m).  So
+U(0) = I and det U = 1, and U is regular at E = 0 and at |E| = m.  Its
+one removable pole is at |E| = lam, where L annihilates the free
+solution that starts along the seed.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +34,8 @@ import numpy as np
 from .errors import DegenerateEnergy, SingularTransform
 from .spinor import ScalarPotential, Spinor, SpinorField
 
-#: |E^2 - m^2| or |E^2 - lam^2| below this is treated as a singular energy
+#: |E^2 - lam^2| below this is treated as the removable pole of U; the
+#: discriminant trace labels |E^2 - m^2| below it as the regime "limit"
 DEGENERATE_EPS = 1e-9
 
 
@@ -78,35 +90,6 @@ class ModelParams:
         return 2.0 * self.half_period
 
 
-@dataclass(frozen=True)
-class Kinematics:
-    """Energy with its derived complex momentum and phase.
-
-    k = sqrt(E^2 - m^2) on the branch Im k >= 0.  The phase delta
-    satisfies tan(delta) = k/m on the branch with cos(delta) = m/E and
-    sin(delta) = k/E (principal arctan shifted by -pi for E < 0); this
-    is the branch on which the closed-form solutions keep unit Wronskian
-    and the discriminant stays even across E = 0.
-    """
-
-    energy: float
-    k: complex
-    delta: complex
-
-    @classmethod
-    def for_energy(cls, mass: float, energy: float) -> "Kinematics":
-        k = cmath.sqrt(complex(energy * energy - mass * mass))
-        if k.imag < 0:
-            k = -k
-        try:
-            delta = cmath.atan(k / mass)
-        except ValueError as exc:  # arctan pole at k/m = i, i.e. E = 0
-            raise DegenerateEnergy(f"phase arctan(k/m) diverges at E={energy}") from exc
-        if energy < 0:
-            delta -= math.pi
-        return cls(energy, k, delta)
-
-
 def potential_s1(params: ModelParams, x):
     """One-soliton scalar potential; even, strictly negative, -> 0 at infinity."""
     g, lam = params.gamma, params.lam
@@ -148,65 +131,70 @@ def periodized_potential(params: ModelParams) -> ScalarPotential:
     )
 
 
-def _guard_energy(params: ModelParams, energy: float, eps: float) -> None:
-    if abs(energy * energy - params.mass**2) < eps:
-        raise DegenerateEnergy(
-            f"E={energy} too close to |E|=m={params.mass}; closed forms have a 0/0 there"
-        )
-    if abs(energy * energy - params.lam**2) < eps:
+def free_pair(q, x):
+    """C = cos(x sqrt q) and S = sin(x sqrt q) / sqrt q, the entries of the
+    free fundamental matrix exp(A0 x) = C I + S A0; continued to cosh and
+    sinh for q < 0, and to C = 1, S = x at q = 0.  q and x broadcast."""
+    root = np.sqrt(np.abs(q))
+    phase = x * root
+    propagating = q >= 0
+    evanescent = np.logical_not(propagating)
+    c = np.empty_like(phase)
+    np.cos(phase, out=c, where=propagating)
+    np.cosh(phase, out=c, where=evanescent)
+    s = np.empty_like(phase)
+    np.sin(phase, out=s, where=propagating)
+    np.sinh(phase, out=s, where=evanescent)
+    if np.count_nonzero(root) < np.size(root):
+        return c, np.divide(s, root, out=np.full_like(phase, x), where=root != 0)
+    s /= root
+    return c, s
+
+
+def _guard_energy(params: ModelParams, energy: float) -> None:
+    if abs(energy * energy - params.lam**2) < DEGENERATE_EPS:
         raise DegenerateEnergy(
             f"E={energy} too close to the bound-state energies +-{params.lam}; "
-            "basis prefactor 1/sqrt(k^2+gamma^2) diverges"
+            "U(x; E) has a removable pole there"
         )
 
 
-def basis_spinors(
-    params: ModelParams,
-    kin: Kinematics,
-    x: float,
-    *,
-    degenerate_eps: float = DEGENERATE_EPS,
-) -> tuple[Spinor, Spinor]:
-    """Closed-form solution pair at kin.energy, normalized to unit Wronskian.
+def basis_spinors(params: ModelParams, energy: float, x):
+    """The columns (psi, phi) of U(x; E) = Phi(x) Phi(0)^-1, the solutions
+    with psi(0) = (1, 0) and phi(0) = (0, 1); W(psi, phi) = det U = 1.
 
-    Returns (psi, phi) with W(psi, phi) = 1 at every x.  Raises
-    DegenerateEnergy within ``degenerate_eps`` of |E| = m (k = 0) and of
-    |E| = lam (vanishing normalization).
+    Each column is an array of the two components, shaped (2,) + shape(x).
+    Raises DegenerateEnergy within DEGENERATE_EPS of |E| = lam.
     """
-    _guard_energy(params, kin.energy, degenerate_eps)
-    e, k, delta = kin.energy, kin.k, kin.delta
+    _guard_energy(params, energy)
+    m, e = params.mass, energy
+    q = e * e - m * m
+    x = np.asarray(x, dtype=float)
+    c, s = free_pair(q, x)
+    # P = adj B(0) / (q + gamma^2) and A0 P, then F = C P + S A0 P
+    v1, v2 = (float(v) for v in w_functions(params, 0.0))
+    d = q + params.gamma**2
+    p11, p12, p21, p22 = (-m - v2) / d, e / d, -e / d, (m - v1) / d
+    f11 = c * p11 + s * (m * p11 - e * p21)
+    f12 = c * p12 + s * (m * p12 - e * p22)
+    f21 = c * p21 + s * (e * p11 - m * p21)
+    f22 = c * p22 + s * (e * p12 - m * p22)
     w1, w2 = w_functions(params, x)
-    s = cmath.sqrt(params.gamma**2 + k * k)
-    kx = k * x
-    psi = Spinor(
-        (e / s) * (cmath.cos(kx) - (w1 / k) * cmath.sin(kx)),
-        (e / s) * (cmath.cos(kx - delta) - (w2 / k) * cmath.sin(kx - delta)),
+    b11, b22 = m - w1, -m - w2
+    return (
+        np.array([b11 * f11 - e * f21, e * f11 + b22 * f21]),
+        np.array([b11 * f12 - e * f22, e * f12 + b22 * f22]),
     )
-    phi = Spinor(
-        (-1.0 / s) * (k * cmath.sin(kx) + w1 * cmath.cos(kx)),
-        (-1.0 / s) * (k * cmath.sin(kx - delta) + w2 * cmath.cos(kx - delta)),
-    )
-    return psi, phi
 
 
-def basis_fields(
-    params: ModelParams,
-    energy: float,
-    *,
-    degenerate_eps: float = DEGENERATE_EPS,
-) -> tuple[SpinorField, SpinorField]:
-    """The basis pair as spinor fields over the whole axis."""
-    _guard_energy(params, energy, degenerate_eps)
-    kin = Kinematics.for_energy(params.mass, energy)
+def basis_fields(params: ModelParams, energy: float) -> tuple[SpinorField, SpinorField]:
+    """The columns of U(x; E) as spinor fields over the whole axis."""
+    _guard_energy(params, energy)
     psi = SpinorField(
-        lambda x: basis_spinors(params, kin, x, degenerate_eps=degenerate_eps)[0],
-        energy,
-        label="soliton basis psi",
+        lambda x: Spinor(*basis_spinors(params, energy, x)[0]), energy, label="soliton basis psi"
     )
     phi = SpinorField(
-        lambda x: basis_spinors(params, kin, x, degenerate_eps=degenerate_eps)[1],
-        energy,
-        label="soliton basis phi",
+        lambda x: Spinor(*basis_spinors(params, energy, x)[1]), energy, label="soliton basis phi"
     )
     return psi, phi
 

@@ -24,17 +24,17 @@ FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class Spinor:
-    """Two-component complex amplitude at a single point."""
+    """Two-component real amplitude at a single point."""
 
-    c1: complex
-    c2: complex
+    c1: float
+    c2: float
 
     def __post_init__(self):
-        if not (math.isfinite(abs(self.c1)) and math.isfinite(abs(self.c2))):
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
             raise ValueError("spinor components must be finite")
 
     def norm(self) -> float:
-        return math.hypot(abs(self.c1), abs(self.c2))
+        return math.hypot(self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,27 @@ class SpinorField:
         return Spinor((fp.c1 - fm.c1) / (2 * h), (fp.c2 - fm.c2) / (2 * h))
 
 
-def wronskian(phi: Spinor, psi: Spinor) -> complex:
-    """Spinor Wronskian W(phi, psi) = phi1*psi2 - phi2*psi1.
+def wronskian(phi: Spinor, psi: Spinor) -> float:
+    """Spinor Wronskian W(phi, psi) = phi1*psi2 - phi2*psi1, the
+    determinant of the matrix with columns phi and psi.
 
     Constant in x when both arguments solve the same Dirac problem at the
-    same energy.  The form is bilinear, not sesquilinear: conjugating the
-    first argument would break analytic continuation into the regime
-    where the closed-form solutions pick up imaginary prefactors, and
-    would flip the sign of the discriminant there.  For the real
-    solutions of the propagating regime the two conventions coincide.
+    same energy, because the system is trace-free.
     """
     return phi.c1 * psi.c2 - phi.c2 * psi.c1
+
+
+def det_drift(m11, m12, m21, m22):
+    """|det M - 1| / max(1, max|M_ij|)^2, entrywise over stacked 2x2
+    matrices M that should be unimodular.
+
+    m11*m22 - m12*m21 cancels two products of size max|M_ij|^2, so
+    rounding alone moves det M by about eps * max|M_ij|^2 where the
+    entries are large (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3); the scaled drift reads rounding as eps.
+    """
+    scale = np.maximum(1.0, np.max(np.abs([m11, m12, m21, m22]), axis=0))
+    return np.abs(m11 * m22 - m12 * m21 - 1.0) / (scale * scale)
 
 
 def hamiltonian_residual(
@@ -127,4 +137,4 @@ def hamiltonian_residual(
     s = m + potential(x)
     r1 = d2 + s * f0.c2 - energy * f0.c1
     r2 = -d1 + s * f0.c1 - energy * f0.c2
-    return math.hypot(abs(r1), abs(r2))
+    return math.hypot(r1, r2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, darboux, monodromy, soliton
-from .spinor import Spinor, SpinorField, hamiltonian_residual, wronskian
+from .spinor import Spinor, SpinorField, det_drift, hamiltonian_residual
 
 #: regression constants for mass=2, lambda=1, half-period=1
 #: (three-decimal band-edge values; locations reproduced to < 5e-4)
@@ -46,16 +46,18 @@ def _canonical(params: soliton.ModelParams) -> bool:
 
 
 def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
-    """W(psi, phi) = 1 over a 20 x 20 grid of (E, x) covering both regimes."""
-    energies = [s * e for e in WRONSKIAN_ENERGIES for s in (1.0, -1.0)]
+    """det U = 1 over a 20 x 20 grid of (E, x) covering both regimes,
+    scaled by max(1, max|U_ij|^2), the rounding scale of a 2 x 2
+    determinant (det_drift)."""
     xs = np.linspace(-2.2, 2.2, 20)
-    worst = 0.0
-    for e in energies:
-        kin = soliton.Kinematics.for_energy(params.mass, e)
-        for x in xs:
-            psi, phi = soliton.basis_spinors(params, kin, float(x))
-            worst = max(worst, abs(wronskian(psi, phi) - 1.0))
-    return CheckResult.from_measure("wronskian-unity", worst, 1e-10, "20x20 (E, x) grid")
+    drift = []
+    for e in WRONSKIAN_ENERGIES:
+        for energy in (e, -e):
+            (u11, u21), (u12, u22) = soliton.basis_spinors(params, energy, xs)
+            drift.append(det_drift(u11, u12, u21, u22))
+    return CheckResult.from_measure(
+        "wronskian-unity", float(np.max(drift)), 1e-10, "20x20 (E, x) grid, scaled by max(1, |U|^2)"
+    )
 
 
 def check_evenness(params: soliton.ModelParams, seed: int = 20260811) -> CheckResult:
@@ -74,8 +76,9 @@ def check_evenness(params: soliton.ModelParams, seed: int = 20260811) -> CheckRe
 
 
 def check_solution_residuals(params: soliton.ModelParams, energy: float = 3.0) -> list[CheckResult]:
-    """Basis and bound-state spinors satisfy the transformed problem, with
-    second-order convergence of the finite-difference residual."""
+    """The columns of U and the bound-state spinors satisfy the transformed
+    problem, with second-order convergence of the finite-difference
+    residual."""
     pot = soliton.soliton_potential(params)
     psi, phi = soliton.basis_fields(params, energy)
     v1, v2 = soliton.bound_state_fields(params)

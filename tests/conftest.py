@@ -1,13 +1,18 @@
 import cmath
 import math
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracband import Kinematics, ModelParams, Spinor, SpinorField, lyapunov_many
+from diracband import ModelParams, Spinor, SpinorField, basis_spinors, lyapunov_many
 from diracband.bands import ZOOM_WAYS
-from diracband.soliton import w_functions
+from diracband.soliton import free_pair, w_functions
+
+# the benchmark's modules, for tests of its inputs and of its tracer
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
 FloquetPair = namedtuple("FloquetPair", "beta1 beta2")
 
@@ -37,18 +42,24 @@ def floquet_multipliers(discriminant: float) -> FloquetPair:
 
 
 def free_spinor_field(mass: float, energy: float) -> SpinorField:
-    """A free-particle (S = 0) solution at the given energy, with analytic
-    derivative; the standard seed for Darboux-mapping tests."""
-    kin = Kinematics.for_energy(mass, energy)
-    k, delta = kin.k, kin.delta
+    """The free-particle (S = 0) solution psi(x) = (C I + S A0) (1, 0) at
+    the given energy, A0 = [[m, -E], [E, -m]], with analytic derivative
+    A0 psi; the standard seed for Darboux-mapping tests."""
 
     def fn(x: float) -> Spinor:
-        return Spinor(cmath.cos(k * x), cmath.cos(k * x - delta))
+        c, s = free_pair(energy * energy - mass * mass, x)
+        return Spinor(float(c + mass * s), float(energy * s))
 
     def dfn(x: float) -> Spinor:
-        return Spinor(-k * cmath.sin(k * x), -k * cmath.sin(k * x - delta))
+        v = fn(x)
+        return Spinor(mass * v.c1 - energy * v.c2, energy * v.c1 - mass * v.c2)
 
     return SpinorField(fn, energy, derivative=dfn, label="free particle")
+
+
+def fundamental_matrix(params: ModelParams, energy: float, x) -> np.ndarray:
+    """U(x; E) from the columns basis_spinors returns, shaped (2, 2) + shape(x)."""
+    return np.stack(basis_spinors(params, energy, x), axis=1)
 
 
 def count_crossings(d_values: np.ndarray, level: float = 2.0) -> int:

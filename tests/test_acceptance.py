@@ -61,7 +61,7 @@ def test_criterion_2_oracle_equivalence(canonical):
 
 def test_criterion_3_wronskian_unity(canonical):
     result = check_wronskian_unity(canonical)
-    report("3", result.passed, f"max |W - 1| = {result.residual:.2e} (tol 1e-10) on 20x20 grid")
+    report("3", result.passed, f"max |det U - 1| / max(1, |U|^2) = {result.residual:.2e} (tol 1e-10) on 20x20 grid")
     assert result.residual < 1e-10
 
 

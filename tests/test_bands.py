@@ -12,7 +12,6 @@ from conftest import (
 )
 from diracband import (
     Band,
-    DegenerateEnergy,
     ModelParams,
     NotAllowedBand,
     band_edges,
@@ -91,10 +90,9 @@ class TestLyapunov:
             oracle = lyapunov_numeric_many(pot, canonical.mass, np.array([e]), 1.0, steps=4000)[0]
             assert abs(c - oracle) < 1e-6
 
-    def test_degenerate_energy_raises(self, canonical):
+    def test_mass_shell_value_matches_many(self, canonical):
         for e in (2.0, -2.0):
-            with pytest.raises(DegenerateEnergy):
-                lyapunov(canonical, e)
+            assert lyapunov(canonical, e) == float(lyapunov_many(canonical, [e])[0])
 
     def test_zero_energy_matches_quadrature(self, canonical):
         # decoupled system at E=0: trace = 2 cosh of the integrated mass term

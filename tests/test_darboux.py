@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import free_spinor_field
+from conftest import free_spinor_field, fundamental_matrix
 from diracband import (
     ScalarPotential,
     SingularTransform,
     Spinor,
     SpinorField,
     TransformSeed,
-    basis_fields,
     hamiltonian_residual,
     intertwining_check,
     map_solution,
@@ -18,7 +17,6 @@ from diracband import (
     soliton_potential,
     soliton_seed,
     transformed_potential,
-    wronskian,
 )
 from diracband.verify import _random_smooth_field
 
@@ -75,12 +73,14 @@ class TestTransformedPotential:
 
 class TestMapSolution:
     def test_free_solution_maps_onto_soliton_basis(self, canonical):
+        # L psi is a solution, so it is U(x) applied to its value at 0
         seed = soliton_seed(canonical)
         free = free_spinor_field(canonical.mass, 3.0)
-        _, phi = basis_fields(canonical, 3.0)
+        start = map_solution(seed, free, 0.0)
         for x in (0.0, 0.7, -1.3):
             mapped = map_solution(seed, free, x)
-            assert abs(wronskian(mapped, phi(x))) < 1e-9
+            expected = fundamental_matrix(canonical, 3.0, x) @ [start.c1, start.c2]
+            assert np.abs([mapped.c1, mapped.c2] - expected).max() < 1e-12
 
     def test_mapped_solution_satisfies_transformed_equation(self, canonical):
         seed = soliton_seed(canonical)

@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fundamental_matrix
 from diracband import (
     DegenerateEnergy,
-    Kinematics,
     ModelParams,
+    Spinor,
     basis_fields,
     basis_spinors,
     bound_state_fields,
     bound_states,
     hamiltonian_residual,
+    lyapunov_many,
     periodized_potential,
     potential_s1,
+    soliton,
     soliton_potential,
     w_functions,
     wronskian,
 )
+from diracband.monodromy import DEFAULT_STEPS, _propagate
+from diracband.spinor import det_drift
+from diracband.verify import check_solution_residuals, check_wronskian_unity
+from inputs import oracle_sets
 
 # sign regression for the reflection relations: w1(-a) = -w2(a) for the
 # canonical parameters, frozen from direct evaluation of the tanh forms
@@ -50,27 +57,6 @@ class TestModelParams:
     def test_from_lambda_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ModelParams.from_lambda(2.0, 2.0, 1.0)
-
-
-class TestKinematics:
-    def test_momentum_identity(self, canonical):
-        for e in (-6.3, -1.1, 0.4, 1.7, 2.2, 5.9):
-            kin = Kinematics.for_energy(canonical.mass, e)
-            assert abs(kin.k**2 - (e * e - 4.0)) < 1e-12 * max(1.0, abs(e * e - 4.0))
-
-    def test_propagating_regime_is_real(self, canonical):
-        kin = Kinematics.for_energy(canonical.mass, 3.0)
-        assert kin.k.imag == 0.0
-        assert kin.delta.imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_evanescent_regime_is_imaginary(self, canonical):
-        kin = Kinematics.for_energy(canonical.mass, 1.5)
-        assert kin.k.real == 0.0
-        assert kin.k.imag > 0.0
-
-    def test_zero_energy_pole(self, canonical):
-        with pytest.raises(DegenerateEnergy):
-            Kinematics.for_energy(canonical.mass, 0.0)
 
 
 class TestPotential:
@@ -131,23 +117,60 @@ class TestWFunctions:
         assert w2_pos == pytest.approx(W2_AT_A, abs=1e-13)
 
 
+#: energies of the oracle comparisons: E = 0, both mass shells and all
+#: three regimes of the canonical set
+ORACLE_ENERGIES = (0.0, 2.0, -2.0, 0.5, 1.5, 3.0, 6.0)
+
+
+def _monodromy(params, energy):
+    """U(a) adj U(-a), the transfer matrix over one period."""
+    a = params.half_period
+    (u11, u12), (u21, u22) = fundamental_matrix(params, energy, -a)
+    return fundamental_matrix(params, energy, a) @ np.array([[u22, -u12], [-u21, u11]])
+
+
 class TestBasisSpinors:
     def test_unit_wronskian_across_both_regimes(self, canonical):
         magnitudes = (0.25, 0.52, 0.79, 1.15, 1.42, 1.69, 2.3, 2.9, 3.7, 4.8)
-        energies = [s * e for e in magnitudes for s in (1, -1)]
         xs = np.linspace(-2.2, 2.2, 20)
         worst = 0.0
-        for e in energies:
-            kin = Kinematics.for_energy(canonical.mass, e)
-            for x in xs:
-                psi, phi = basis_spinors(canonical, kin, float(x))
-                worst = max(worst, abs(wronskian(psi, phi) - 1.0))
+        for e in (s * e for e in magnitudes for s in (1, -1)):
+            (u11, u12), (u21, u22) = fundamental_matrix(canonical, e, xs)
+            worst = max(worst, float(np.max(np.abs(u11 * u22 - u12 * u21 - 1.0))))
         assert worst < 1e-10
 
     def test_evanescent_point_value(self, canonical):
-        kin = Kinematics.for_energy(canonical.mass, 1.5)
-        psi, phi = basis_spinors(canonical, kin, 0.4)
-        assert abs(wronskian(psi, phi) - 1.0) < 1e-10
+        psi, phi = basis_spinors(canonical, 1.5, 0.4)
+        assert abs(wronskian(Spinor(*psi), Spinor(*phi)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("energy", ORACLE_ENERGIES)
+    def test_identity_at_origin(self, canonical, energy):
+        u = fundamental_matrix(canonical, energy, 0.0)
+        assert np.abs(u - np.eye(2)).max() <= 4 * np.finfo(float).eps
+
+    def test_columns_broadcast_over_x(self, canonical):
+        xs = np.linspace(-2.0, 2.0, 9).reshape(3, 3)
+        psi, phi = basis_spinors(canonical, 1.5, xs)
+        assert psi.shape == phi.shape == (2, 3, 3)
+        for i, x in enumerate(xs.ravel()):
+            p1, f1 = basis_spinors(canonical, 1.5, float(x))
+            assert np.array_equal(psi.reshape(2, -1)[:, i], p1)
+            assert np.array_equal(phi.reshape(2, -1)[:, i], f1)
+
+    def test_matches_oracle_transfer_matrix(self, canonical):
+        es = np.array(ORACLE_ENERGIES)
+        m11, m12, m21, m22 = _propagate(
+            periodized_potential(canonical), canonical.mass, es, -1.0, 2.0, DEFAULT_STEPS
+        )
+        for i, e in enumerate(es):
+            oracle = np.array([[m11[i], m12[i]], [m21[i], m22[i]]])
+            err = np.abs(_monodromy(canonical, e) - oracle).max()
+            assert err <= 1e-12 * max(1.0, np.abs(oracle).max())
+
+    @pytest.mark.parametrize("energy", ORACLE_ENERGIES + (1.0 + 1e-3, 1.0 - 1e-3, -1.0 - 1e-3))
+    def test_trace_is_discriminant(self, canonical, energy):
+        d = float(lyapunov_many(canonical, [energy])[0])
+        assert abs(np.trace(_monodromy(canonical, energy)) - d) <= 1e-12 * max(1.0, abs(d))
 
     def test_solves_transformed_equation(self, canonical):
         pot = soliton_potential(canonical)
@@ -155,16 +178,30 @@ class TestBasisSpinors:
         assert hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
         assert hamiltonian_residual(phi, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
 
-    @pytest.mark.parametrize("energy", [2.0, -2.0, 1.0, -1.0, 2.0 + 1e-12])
+    @pytest.mark.parametrize("energy", [1.0, -1.0, 1.0 + 1e-12])
     def test_degenerate_energies_raise(self, canonical, energy):
         with pytest.raises(DegenerateEnergy):
             basis_fields(canonical, energy)
-
-    def test_epsilon_is_configurable(self, canonical):
-        kin = Kinematics.for_energy(canonical.mass, 2.0 + 1e-7)
-        basis_spinors(canonical, kin, 0.1, degenerate_eps=1e-16)
         with pytest.raises(DegenerateEnergy):
-            basis_spinors(canonical, kin, 0.1, degenerate_eps=1e-4)
+            basis_spinors(canonical, energy, 0.3)
+
+    @pytest.mark.parametrize("energy", [0.0, 2.0, -2.0, 2.0 + 1e-12])
+    def test_regular_at_zero_and_mass_shell(self, canonical, energy):
+        (u11, u12), (u21, u22) = fundamental_matrix(canonical, energy, np.linspace(-2, 2, 9))
+        assert np.isfinite([u11, u12, u21, u22]).all()
+        assert det_drift(u11, u12, u21, u22).max() < 1e-14
+
+    def test_corrupted_alpha_fails_wronskian_check(self):
+        for p in oracle_sets(1):  # the canonical set and 63 seeded ones
+            alpha = ModelParams(p.mass, p.gamma, p.half_period).alpha
+            bad = ModelParams(p.mass, p.gamma, p.half_period, alpha_override=1.1 * alpha)
+            assert not check_wronskian_unity(bad).passed, p
+
+    def test_wrong_energy_fails_residual_check(self, canonical, monkeypatch):
+        fields = soliton.basis_fields
+        monkeypatch.setattr(soliton, "basis_fields", lambda p, e: fields(p, e + 0.1))
+        residual, _ = check_solution_residuals(canonical)
+        assert not residual.passed
 
 
 class TestBoundStates:

@@ -5,12 +5,10 @@ import pytest
 
 from conftest import floquet_multipliers
 from diracband import (
-    Kinematics,
     ScalarPotential,
     Spinor,
     SpinorField,
     basis_fields,
-    basis_spinors,
     hamiltonian_residual,
     soliton_potential,
     wronskian,
@@ -33,18 +31,14 @@ class TestWronskian:
             assert wronskian(phi, psi) == -wronskian(psi, phi)
 
     def test_soliton_basis_has_unit_wronskian(self, canonical):
-        kin = Kinematics.for_energy(canonical.mass, 3.0)
-        psi, phi = basis_spinors(canonical, kin, 0.0)
-        assert abs(wronskian(psi, phi) - 1.0) < 1e-12
+        psi, phi = basis_fields(canonical, 3.0)
+        assert abs(wronskian(psi(0.0), phi(0.0)) - 1.0) < 1e-12
 
     def test_constant_in_x_over_random_positions(self, canonical):
         rng = np.random.default_rng(9)
-        kin = Kinematics.for_energy(canonical.mass, 2.6)
-        ref = wronskian(*basis_spinors(canonical, kin, 0.0))
-        worst = max(
-            abs(wronskian(*basis_spinors(canonical, kin, float(x))) - ref)
-            for x in rng.uniform(-3, 3, 100)
-        )
+        psi, phi = basis_fields(canonical, 2.6)
+        ref = wronskian(psi(0.0), phi(0.0))
+        worst = max(abs(wronskian(psi(x), phi(x)) - ref) for x in rng.uniform(-3, 3, 100))
         assert worst < 1e-10
 
 
