@@ -22,6 +22,7 @@ from diracband import (
     wronskian,
 )
 from diracband.monodromy import DEFAULT_STEPS, _propagate
+from diracband.soliton import free_pair
 from diracband.spinor import det_drift
 from diracband.verify import check_solution_residuals, check_wronskian_unity
 from inputs import oracle_sets
@@ -57,6 +58,35 @@ class TestModelParams:
     def test_from_lambda_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ModelParams.from_lambda(2.0, 2.0, 1.0)
+
+
+class TestKinematics:
+    """The free pair (C, S) of exp(A0 x) = C I + S A0 carries the momentum
+    k = sqrt(E^2 - m^2): real above the mass shell, imaginary below it."""
+
+    XS = np.linspace(-2.2, 2.2, 23)
+
+    def test_momentum_identity(self, canonical):
+        # det exp(A0 x) = C^2 + q S^2 = 1 with q = k^2 = E^2 - m^2
+        for e in (-6.3, -1.1, 0.4, 1.7, 2.2, 5.9):
+            q = e * e - canonical.mass**2
+            c, s = free_pair(q, self.XS)
+            assert np.all(np.abs(c * c + q * s * s - 1.0) < 1e-13 * np.maximum(1.0, c * c))
+
+    def test_propagating_regime_is_real(self, canonical):
+        k = math.sqrt(3.0**2 - canonical.mass**2)
+        c, s = free_pair(k * k, self.XS)
+        assert np.allclose(c, np.cos(k * self.XS), rtol=0, atol=1e-14)
+        assert np.allclose(s, np.sin(k * self.XS) / k, rtol=0, atol=1e-14)
+        assert np.abs(c).max() <= 1.0
+
+    def test_evanescent_regime_is_imaginary(self, canonical):
+        q = 1.5**2 - canonical.mass**2
+        k = 1j * math.sqrt(-q)  # the branch Im k > 0
+        c, s = free_pair(q, self.XS)
+        for pair, analytic in ((c, np.cos(k * self.XS)), (s, np.sin(k * self.XS) / k)):
+            assert np.abs(analytic.imag).max() == 0.0
+            assert np.allclose(pair, analytic.real, rtol=1e-14, atol=0)
 
 
 class TestPotential:
@@ -184,6 +214,14 @@ class TestBasisSpinors:
             basis_fields(canonical, energy)
         with pytest.raises(DegenerateEnergy):
             basis_spinors(canonical, energy, 0.3)
+
+    def test_epsilon_is_configurable(self, canonical, monkeypatch):
+        energy = canonical.lam + 1e-7  # |E^2 - lam^2| = 2e-7
+        monkeypatch.setattr(soliton, "DEGENERATE_EPS", 1e-16)
+        basis_spinors(canonical, energy, 0.1)
+        monkeypatch.setattr(soliton, "DEGENERATE_EPS", 1e-4)
+        with pytest.raises(DegenerateEnergy):
+            basis_spinors(canonical, energy, 0.1)
 
     @pytest.mark.parametrize("energy", [0.0, 2.0, -2.0, 2.0 + 1e-12])
     def test_regular_at_zero_and_mass_shell(self, canonical, energy):
