@@ -14,33 +14,24 @@ from .bands import (
     lyapunov_many,
     lyapunov_trace,
 )
-from .darboux import TransformSeed, intertwining_check, map_solution, soliton_seed, transformed_potential
+from .darboux import intertwining_check, map_solution, transformed_potential
 from .errors import (
     DegenerateEnergy,
     DiracBandError,
     NotAllowedBand,
-    SingularTransform,
     StepCountTooSmall,
 )
 from .monodromy import lyapunov_numeric_many
 from .soliton import (
     ModelParams,
-    basis_fields,
     basis_spinors,
-    bound_state_fields,
     bound_states,
     periodized_potential,
     potential_s1,
     soliton_potential,
     w_functions,
 )
-from .spinor import (
-    ScalarPotential,
-    Spinor,
-    SpinorField,
-    hamiltonian_residual,
-    wronskian,
-)
+from .spinor import hamiltonian_residual
 
 __all__ = [
     "__version__",
@@ -50,16 +41,9 @@ __all__ = [
     "DiracBandError",
     "ModelParams",
     "NotAllowedBand",
-    "ScalarPotential",
-    "SingularTransform",
-    "Spinor",
-    "SpinorField",
     "StepCountTooSmall",
-    "TransformSeed",
     "band_edges",
-    "basis_fields",
     "basis_spinors",
-    "bound_state_fields",
     "bound_states",
     "dispersion",
     "hamiltonian_residual",
@@ -72,8 +56,6 @@ __all__ = [
     "periodized_potential",
     "potential_s1",
     "soliton_potential",
-    "soliton_seed",
     "transformed_potential",
     "w_functions",
-    "wronskian",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__, bands, monodromy, soliton, verify
 from .errors import DiracBandError
-from .spinor import ScalarPotential
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -113,7 +112,7 @@ def cmd_potential(args: argparse.Namespace, params: soliton.ModelParams) -> list
     return [{"x": float(x), "s1": float(s)} for x, s in zip(xs, values)]
 
 
-def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotential:
+def _tabulated_potential(path: str, params: soliton.ModelParams):
     """Two-column CSV (x, S), linearly interpolated and periodized.
 
     Interpolation error between samples is the caller's to budget.
@@ -139,10 +138,7 @@ def _tabulated_potential(path: str, params: soliton.ModelParams) -> ScalarPotent
             f"--potential-file '{path}' must cover [-a, a] = [{-a}, {a}], spans [{xs[0]}, {xs[-1]}]"
         )
 
-    def fn(x):
-        return np.interp(soliton.fold_into_cell(params, x), xs, ss)
-
-    return ScalarPotential(fn, f"tabulated from {path}")
+    return lambda x: np.interp(soliton.fold_into_cell(params, x), xs, ss)
 
 
 def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:

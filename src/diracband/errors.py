@@ -10,10 +10,6 @@ class DegenerateEnergy(DiracBandError):
     the closed-form solutions U(x; E); the discriminant is regular there."""
 
 
-class SingularTransform(DiracBandError):
-    """A transformation-function component vanishes at the requested point."""
-
-
 class NotAllowedBand(DiracBandError):
     """Dispersion requested on an interval that is not an allowed band."""
 

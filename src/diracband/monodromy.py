@@ -36,10 +36,12 @@ are integrated.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .spinor import ScalarPotential, det_drift
+from .spinor import det_drift
 
 DEFAULT_STEPS = 20000
 DET_DRIFT_LIMIT = 1e-6
@@ -94,7 +96,7 @@ def _fuse_pairs(f):
     return fused
 
 
-def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period: float, steps: int):
+def _propagate(potential: Callable, m: float, energies, x0: float, period: float, steps: int):
     """RK4 for the fundamental matrix, all energies at once.
 
     The step grid is cut into ``n_blocks`` blocks of ``block`` steps, and
@@ -126,8 +128,8 @@ def _propagate(potential: ScalarPotential, m: float, energies, x0: float, period
     energies = np.asarray(energies, dtype=float)
     h = period / steps
     xs = x0 + h * np.arange(steps + 1)
-    s_node = m + potential.values(xs)
-    s_half = m + potential.values(xs[:-1] + 0.5 * h)
+    s_node = m + potential(xs)
+    s_half = m + potential(xs[:-1] + 0.5 * h)
 
     n_blocks = max(1, min(_BLOCK_ELEMENTS // max(energies.size, 1), steps))
     block = -(-steps // n_blocks)
@@ -233,14 +235,14 @@ def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
 
 
 def lyapunov_numeric_many(
-    potential: ScalarPotential,
+    potential: Callable,
     m: float,
     energies,
     a: float,
     steps: int = DEFAULT_STEPS,
 ) -> np.ndarray:
     """Discriminant tr M over [-a, a] at every energy, in one integration
-    pass.
+    pass; ``potential`` maps an x array to S(x).
 
     Raises StepCountTooSmall when det M drifts from 1 by more than
     DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which means the

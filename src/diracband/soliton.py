@@ -8,8 +8,8 @@ half-period a.  Everything else is derived:
     s1(x) = -2 gamma^2 / (m + lam cosh(2 gamma x))
 
 The solutions at any energy are elementary and real.  The soliton
-problem is the Darboux transform of the free one (darboux.soliton_seed):
-the intertwiner L = d/dx - diag(w1, w2) maps a free solution, psi' =
+problem is the Darboux transform of the free one (darboux): the
+intertwiner L = d/dx - diag(w1, w2) maps a free solution, psi' =
 A0 psi with A0 = [[m, -E], [E, -m]], to B(x) psi with
 
     B(x) = [[m - w1(x), -E], [E, -m - w2(x)]].
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergy, SingularTransform
-from .spinor import ScalarPotential, Spinor, SpinorField
+from .errors import DegenerateEnergy
 
 #: |E^2 - lam^2| below this is treated as the removable pole of U; the
 #: discriminant trace labels |E^2 - m^2| below it as the regime "limit"
@@ -106,11 +105,9 @@ def w_functions(params: ModelParams, x):
     return g * np.tanh(g * xa - al), g * np.tanh(g * xa + al)
 
 
-def soliton_potential(params: ModelParams) -> ScalarPotential:
-    return ScalarPotential(
-        lambda x: potential_s1(params, x),
-        f"one-soliton (mass={params.mass}, gamma={params.gamma})",
-    )
+def soliton_potential(params: ModelParams):
+    """s1 as a function of x alone."""
+    return lambda x: potential_s1(params, x)
 
 
 def fold_into_cell(params: ModelParams, x):
@@ -120,15 +117,13 @@ def fold_into_cell(params: ModelParams, x):
     return xa - t * np.floor((xa + a) / t)
 
 
-def periodized_potential(params: ModelParams) -> ScalarPotential:
-    """Periodic continuation of the soliton potential, period 2a.
+def periodized_potential(params: ModelParams):
+    """Periodic continuation of the soliton potential, period 2a, as a
+    function of x.
 
     Continuous across cell boundaries because s1 is even.
     """
-    return ScalarPotential(
-        lambda x: potential_s1(params, fold_into_cell(params, x)),
-        f"periodized one-soliton (mass={params.mass}, gamma={params.gamma}, a={params.half_period})",
-    )
+    return lambda x: potential_s1(params, fold_into_cell(params, x))
 
 
 def free_pair(q, x):
@@ -187,39 +182,22 @@ def basis_spinors(params: ModelParams, energy: float, x):
     )
 
 
-def basis_fields(params: ModelParams, energy: float) -> tuple[SpinorField, SpinorField]:
-    """The columns of U(x; E) as spinor fields over the whole axis."""
-    _guard_energy(params, energy)
-    psi = SpinorField(
-        lambda x: Spinor(*basis_spinors(params, energy, x)[0]), energy, label="soliton basis psi"
-    )
-    phi = SpinorField(
-        lambda x: Spinor(*basis_spinors(params, energy, x)[1]), energy, label="soliton basis phi"
-    )
-    return psi, phi
+#: libm's cosh elementwise: np.cosh differs from it in the last bit on
+#: about a quarter of arguments, and verify's residual-order check reads
+#: the bound-state residuals on their rounding floor
+_cosh = np.vectorize(math.cosh, otypes=[float])
 
 
-def bound_states(params: ModelParams, x: float) -> tuple[Spinor, Spinor]:
-    """Columns of (u^t)^(-1) for the cosh transformation matrix.
+def bound_states(params: ModelParams, x):
+    """Columns of (u^t)^(-1) for the cosh transformation matrix, each
+    shaped (2,) + shape(x).
 
     Column 1 solves the transformed problem at E = +lam, column 2 at
     E = -lam; both decay like exp(-gamma*|x|).  The determinant of u is
-    2*cosh(g x - a)*cosh(g x + a) >= 2, so the guard never fires for
-    valid parameters, but it is kept against misuse.
+    2*cosh(g x - a)*cosh(g x + a) >= 2, so u is invertible at every x.
     """
     g, al = params.gamma, params.alpha
-    cm = math.cosh(g * x - al)
-    cp = math.cosh(g * x + al)
-    det = 2.0 * cm * cp
-    if abs(det) < 1e-12:
-        raise SingularTransform(f"transformation matrix singular at x={x}")
-    return (
-        Spinor(1.0 / (2.0 * cm), 1.0 / (2.0 * cp)),
-        Spinor(-1.0 / (2.0 * cm), 1.0 / (2.0 * cp)),
-    )
-
-
-def bound_state_fields(params: ModelParams) -> tuple[SpinorField, SpinorField]:
-    v1 = SpinorField(lambda x: bound_states(params, x)[0], params.lam, label="bound state +lam")
-    v2 = SpinorField(lambda x: bound_states(params, x)[1], -params.lam, label="bound state -lam")
-    return v1, v2
+    x = np.asarray(x, dtype=float)
+    half_m = 1.0 / (2.0 * _cosh(g * x - al))
+    half_p = 1.0 / (2.0 * _cosh(g * x + al))
+    return np.array([half_m, half_p]), np.array([-half_m, half_p])

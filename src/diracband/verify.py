@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, darboux, monodromy, soliton
-from .spinor import Spinor, SpinorField, det_drift, hamiltonian_residual
+from .spinor import det_drift, hamiltonian_residual
 
 #: regression constants for mass=2, lambda=1, half-period=1
 #: (three-decimal band-edge values; locations reproduced to < 5e-4)
@@ -22,6 +22,11 @@ REFERENCE_EDGES = (0.738, 1.381, 2.164, 3.274, 3.335, 4.802, 4.827, 6.352)
 #: energies used for unit-Wronskian checks; both signs of each are taken,
 #: spanning |E| < lam, lam < |E| < m and |E| > m for the canonical model
 WRONSKIAN_ENERGIES = (0.25, 0.52, 0.79, 1.15, 1.42, 1.69, 2.3, 2.9, 3.7, 4.8)
+
+#: seed of the random energies of the evenness and oracle checks
+SEED = 20260811
+#: top of the energy window of the band-table checks
+E_MAX = 7.0
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,10 @@ def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
     )
 
 
-def check_evenness(params: soliton.ModelParams, seed: int = 20260811) -> CheckResult:
+def check_evenness(params: soliton.ModelParams) -> CheckResult:
     """D(E) = D(-E) on random energies and at the printed formula's 0/0
     points |E| = m and |E| = lam, which random draws never land near."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     lam = params.lam
     special = [params.mass, lam, lam * (1 + 1e-6), lam * (1 - 1e-6)]
     es = np.concatenate([rng.uniform(0.05, 8.0, 50), special])
@@ -75,88 +80,73 @@ def check_evenness(params: soliton.ModelParams, seed: int = 20260811) -> CheckRe
     )
 
 
-def check_solution_residuals(params: soliton.ModelParams, energy: float = 3.0) -> list[CheckResult]:
-    """The columns of U and the bound-state spinors satisfy the transformed
-    problem, with second-order convergence of the finite-difference
-    residual."""
+def check_solution_residuals(params: soliton.ModelParams) -> list[CheckResult]:
+    """The columns of U at E = 3 and the bound-state spinors satisfy the
+    transformed problem, with second-order convergence of the
+    finite-difference residual."""
     pot = soliton.soliton_potential(params)
-    psi, phi = soliton.basis_fields(params, energy)
-    v1, v2 = soliton.bound_state_fields(params)
-    fields = [(psi, energy), (phi, energy), (v1, params.lam), (v2, -params.lam)]
-    worst = 0.0
-    ratios = []
-    for f, e in fields:
-        for x in (0.3, -0.7, 1.1):
-            r1 = hamiltonian_residual(f, pot, params.mass, e, x, h=1e-4)
-            r2 = hamiltonian_residual(f, pot, params.mass, e, x, h=5e-5)
-            worst = max(worst, r1)
-            if r2 > 0:
-                ratios.append(r1 / r2)
-    off = max(abs(r - 4.0) for r in ratios)
+    solutions = [
+        (lambda x: soliton.basis_spinors(params, 3.0, x)[0], 3.0),
+        (lambda x: soliton.basis_spinors(params, 3.0, x)[1], 3.0),
+        (lambda x: soliton.bound_states(params, x)[0], params.lam),
+        (lambda x: soliton.bound_states(params, x)[1], -params.lam),
+    ]
+    xs = np.array([0.3, -0.7, 1.1])
+    r1 = np.array([hamiltonian_residual(f, pot, params.mass, e, xs, h=1e-4) for f, e in solutions])
+    r2 = np.array([hamiltonian_residual(f, pot, params.mass, e, xs, h=5e-5) for f, e in solutions])
+    ratios = r1[r2 > 0] / r2[r2 > 0]
+    off = np.max(np.abs(ratios - 4.0))
     return [
-        CheckResult.from_measure("dirac-residual", worst, 1e-6, "basis + bound states, h=1e-4"),
+        CheckResult.from_measure("dirac-residual", np.max(r1), 1e-6, "basis + bound states, h=1e-4"),
         CheckResult.from_measure(
-            "residual-order", off, 0.5, f"h -> h/2 ratios within {min(ratios):.3f}..{max(ratios):.3f}"
+            "residual-order", off, 0.5, f"h -> h/2 ratios within {ratios.min():.3f}..{ratios.max():.3f}"
         ),
     ]
 
 
-def _random_smooth_field(seed: int) -> SpinorField:
-    """Finite Fourier sum with analytic derivative; not a solution."""
+def _random_smooth_field(seed: int):
+    """A finite Fourier sum as the field x -> (psi, psi'); not a solution."""
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.3, 2.5, 3)
     ca = rng.normal(size=(2, 3))
     cb = rng.normal(size=(2, 3))
 
-    def fn(x: float) -> Spinor:
-        c = np.cos(freqs * x)
-        s = np.sin(freqs * x)
-        return Spinor(float(ca[0] @ c + cb[0] @ s), float(ca[1] @ c + cb[1] @ s))
-
-    def dfn(x: float) -> Spinor:
-        c = np.cos(freqs * x)
-        s = np.sin(freqs * x)
-        return Spinor(
-            float(-ca[0] @ (freqs * s) + cb[0] @ (freqs * c)),
-            float(-ca[1] @ (freqs * s) + cb[1] @ (freqs * c)),
+    def field(x):
+        k = freqs.reshape((3,) + (1,) * np.ndim(x))
+        c, s = np.cos(k * x), np.sin(k * x)
+        return (
+            np.tensordot(ca, c, axes=1) + np.tensordot(cb, s, axes=1),
+            np.tensordot(cb, k * c, axes=1) - np.tensordot(ca, k * s, axes=1),
         )
 
-    return SpinorField(fn, 0.0, derivative=dfn, label=f"random smooth #{seed}")
+    return field
 
 
-def check_intertwining(params: soliton.ModelParams, n_fields: int = 10) -> CheckResult:
-    seed = darboux.soliton_seed(params)
-    worst = 0.0
-    for i in range(n_fields):
-        field = _random_smooth_field(i)
-        for x in (0.12, -0.8, 1.4):
-            worst = max(worst, darboux.intertwining_check(seed, field, x, h=1e-4))
-    return CheckResult.from_measure("intertwining", worst, 1e-5, f"{n_fields} random smooth fields")
+def check_intertwining(params: soliton.ModelParams) -> CheckResult:
+    xs = np.array([0.12, -0.8, 1.4])
+    worst = max(
+        np.max(darboux.intertwining_check(params, _random_smooth_field(i), xs, h=1e-4))
+        for i in range(10)
+    )
+    return CheckResult.from_measure("intertwining", worst, 1e-5, "10 random smooth fields")
 
 
 def check_darboux_consistency(params: soliton.ModelParams) -> CheckResult:
-    seed = darboux.soliton_seed(params)
     xs = np.linspace(-2.5, 2.5, 50)
-    worst = max(
-        abs(darboux.transformed_potential(seed, float(x)) - float(soliton.potential_s1(params, x)))
-        for x in xs
-    )
+    worst = np.max(np.abs(darboux.transformed_potential(params, xs) - soliton.potential_s1(params, xs)))
     return CheckResult.from_measure("darboux-consistency", worst, 1e-12, "50 sample points")
 
 
 def check_oracle_equivalence(
-    params: soliton.ModelParams,
-    n_energies: int = 40,
-    steps: int = monodromy.DEFAULT_STEPS,
-    seed: int = 20260811,
+    params: soliton.ModelParams, steps: int = monodromy.DEFAULT_STEPS
 ) -> CheckResult:
-    """Closed form against the RK4 monodromy trace on random energies,
+    """Closed form against the RK4 monodromy trace on 40 random energies,
     relative to max(1, |D|): at strongly evanescent energies |D| reaches
     1e9, and the rounding of the trace there is not step error."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     m = params.mass
     es = []
-    while len(es) < n_energies:
+    while len(es) < 40:
         e = float(rng.uniform(-8.0, 8.0))
         if abs(e - m) >= 0.05 and abs(e + m) >= 0.05:
             es.append(e)
@@ -167,7 +157,7 @@ def check_oracle_equivalence(
     )
     worst = float((np.abs(closed - numeric) / np.maximum(1.0, np.abs(closed))).max())
     return CheckResult.from_measure(
-        "oracle-equivalence", worst, 1e-6, f"{n_energies} random E, {steps} steps"
+        "oracle-equivalence", worst, 1e-6, f"40 random E, {steps} steps"
     )
 
 
@@ -177,7 +167,7 @@ def check_band_edge_regression(params: soliton.ModelParams) -> CheckResult:
     Only meaningful for the canonical parameter set; other parameter
     choices get the structural checks instead.
     """
-    table = bands.band_edges(params, e_max=7.0, tol=1e-6)
+    table = bands.band_edges(params, e_max=E_MAX, tol=1e-6)
     pos = table.positive_edges
     if len(pos) < len(REFERENCE_EDGES):
         return CheckResult(
@@ -193,9 +183,9 @@ def check_band_edge_regression(params: soliton.ModelParams) -> CheckResult:
     return CheckResult.from_measure("band-edge-regression", worst, 2e-3, detail)
 
 
-def check_band_structure(params: soliton.ModelParams, e_max: float = 7.0) -> CheckResult:
+def check_band_structure(params: soliton.ModelParams) -> CheckResult:
     """Structural sanity of the table: edge certificates and alternation."""
-    table = bands.band_edges(params, e_max=e_max, tol=1e-6)
+    table = bands.band_edges(params, e_max=E_MAX, tol=1e-6)
     d = bands.lyapunov_many(params, np.array(table.edges))
     cert = float(np.max(np.abs(np.abs(d) - 2.0), initial=0.0))
     kinds = [b.kind for b in table.bands]
@@ -206,19 +196,14 @@ def check_band_structure(params: soliton.ModelParams, e_max: float = 7.0) -> Che
     return res
 
 
-def run_verification(
-    params: soliton.ModelParams,
-    *,
-    oracle_steps: int = monodromy.DEFAULT_STEPS,
-    seed: int = 20260811,
-) -> list[CheckResult]:
+def run_verification(params: soliton.ModelParams) -> list[CheckResult]:
     results = [
         check_wronskian_unity(params),
-        check_evenness(params, seed),
+        check_evenness(params),
         *check_solution_residuals(params),
         check_intertwining(params),
         check_darboux_consistency(params),
-        check_oracle_equivalence(params, steps=oracle_steps, seed=seed),
+        check_oracle_equivalence(params),
         check_band_structure(params),
     ]
     if _canonical(params):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracband import ModelParams, Spinor, SpinorField, basis_spinors, lyapunov_many
+from diracband import ModelParams, basis_spinors, lyapunov_many
 from diracband.bands import ZOOM_WAYS
 from diracband.soliton import free_pair, w_functions
 
@@ -41,20 +41,17 @@ def floquet_multipliers(discriminant: float) -> FloquetPair:
     return FloquetPair(discriminant / 2.0 + root, discriminant / 2.0 - root)
 
 
-def free_spinor_field(mass: float, energy: float) -> SpinorField:
+def free_field(mass: float, energy: float):
     """The free-particle (S = 0) solution psi(x) = (C I + S A0) (1, 0) at
-    the given energy, A0 = [[m, -E], [E, -m]], with analytic derivative
-    A0 psi; the standard seed for Darboux-mapping tests."""
+    the given energy, A0 = [[m, -E], [E, -m]], as the field x -> (psi,
+    A0 psi) of Darboux-mapping tests."""
 
-    def fn(x: float) -> Spinor:
-        c, s = free_pair(energy * energy - mass * mass, x)
-        return Spinor(float(c + mass * s), float(energy * s))
+    def field(x):
+        c, s = free_pair(energy * energy - mass * mass, np.asarray(x, dtype=float))
+        psi = np.array([c + mass * s, energy * s])
+        return psi, np.array([mass * psi[0] - energy * psi[1], energy * psi[0] - mass * psi[1]])
 
-    def dfn(x: float) -> Spinor:
-        v = fn(x)
-        return Spinor(mass * v.c1 - energy * v.c2, energy * v.c1 - mass * v.c2)
-
-    return SpinorField(fn, energy, derivative=dfn, label="free particle")
+    return field
 
 
 def fundamental_matrix(params: ModelParams, energy: float, x) -> np.ndarray:

@@ -5,7 +5,6 @@ import pytest
 
 from diracband import (
     ModelParams,
-    ScalarPotential,
     StepCountTooSmall,
     lyapunov_many,
     lyapunov_numeric_many,
@@ -30,8 +29,8 @@ def stepwise_propagate(potential, m, energies, x0, period, steps):
     e = np.asarray(energies, dtype=float)
     h = period / steps
     xs = x0 + h * np.arange(steps + 1)
-    s_node = m + potential.values(xs)
-    s_half = m + potential.values(xs[:-1] + 0.5 * h)
+    s_node = m + potential(xs)
+    s_half = m + potential(xs[:-1] + 0.5 * h)
 
     m11 = np.ones_like(e)
     m12 = np.zeros_like(e)
@@ -66,7 +65,7 @@ def square_well(params):
     jumps at x = +-a/2 are one table interval wide."""
     xs = np.linspace(-params.half_period, params.half_period, 401)
     ss = np.where(np.abs(xs) < 0.5 * params.half_period, -1.2, 0.0)
-    return ScalarPotential(lambda x: np.interp(fold_into_cell(params, x), xs, ss), "square well")
+    return lambda x: np.interp(fold_into_cell(params, x), xs, ss)
 
 
 class TestFreeParticle:
@@ -76,12 +75,12 @@ class TestFreeParticle:
     @pytest.mark.parametrize("energy", [2.5, 3.7, 6.0, 7.9])
     def test_trace_matches_closed_form(self, energy):
         k = math.sqrt(energy * energy - MASS * MASS)
-        trace = trace_at(ScalarPotential.zero(), MASS, energy, steps=10000)
+        trace = trace_at(np.zeros_like, MASS, energy, steps=10000)
         assert abs(trace - 2.0 * math.cos(2.0 * k * A)) < 1e-9
 
     def test_negative_energy_matches_too(self):
         k = math.sqrt(9.0 - 4.0)
-        trace = trace_at(ScalarPotential.zero(), MASS, -3.0, steps=10000)
+        trace = trace_at(np.zeros_like, MASS, -3.0, steps=10000)
         assert abs(trace - 2.0 * math.cos(2.0 * k * A)) < 1e-9
 
 
@@ -244,7 +243,7 @@ class TestGuards:
 
     def test_non_finite_monodromy_raises(self, canonical):
         # NaN > limit is false, so a NaN drift must fail the check, not pass it
-        nan_potential = ScalarPotential(lambda x: np.full(np.shape(x), np.nan), "NaN")
+        nan_potential = lambda x: np.full(np.shape(x), np.nan)
         with np.errstate(invalid="ignore"), pytest.raises(StepCountTooSmall, match="by nan"):
             lyapunov_numeric_many(nan_potential, canonical.mass, np.array([2.5, 3.0]), A)
 

@@ -7,11 +7,9 @@ from conftest import fundamental_matrix
 from diracband import (
     DegenerateEnergy,
     ModelParams,
-    Spinor,
-    basis_fields,
     basis_spinors,
-    bound_state_fields,
     bound_states,
+    darboux,
     hamiltonian_residual,
     lyapunov_many,
     periodized_potential,
@@ -19,12 +17,16 @@ from diracband import (
     soliton,
     soliton_potential,
     w_functions,
-    wronskian,
 )
 from diracband.monodromy import DEFAULT_STEPS, _propagate
 from diracband.soliton import free_pair
 from diracband.spinor import det_drift
-from diracband.verify import check_solution_residuals, check_wronskian_unity
+from diracband.verify import (
+    check_darboux_consistency,
+    check_intertwining,
+    check_solution_residuals,
+    check_wronskian_unity,
+)
 from inputs import oracle_sets
 
 # sign regression for the reflection relations: w1(-a) = -w2(a) for the
@@ -171,7 +173,7 @@ class TestBasisSpinors:
 
     def test_evanescent_point_value(self, canonical):
         psi, phi = basis_spinors(canonical, 1.5, 0.4)
-        assert abs(wronskian(Spinor(*psi), Spinor(*phi)) - 1.0) < 1e-10
+        assert abs(psi[0] * phi[1] - psi[1] * phi[0] - 1.0) < 1e-10
 
     @pytest.mark.parametrize("energy", ORACLE_ENERGIES)
     def test_identity_at_origin(self, canonical, energy):
@@ -204,14 +206,12 @@ class TestBasisSpinors:
 
     def test_solves_transformed_equation(self, canonical):
         pot = soliton_potential(canonical)
-        psi, phi = basis_fields(canonical, 3.0)
-        assert hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
-        assert hamiltonian_residual(phi, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
+        for column in (0, 1):
+            solution = lambda x: basis_spinors(canonical, 3.0, x)[column]
+            assert hamiltonian_residual(solution, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
 
     @pytest.mark.parametrize("energy", [1.0, -1.0, 1.0 + 1e-12])
     def test_degenerate_energies_raise(self, canonical, energy):
-        with pytest.raises(DegenerateEnergy):
-            basis_fields(canonical, energy)
         with pytest.raises(DegenerateEnergy):
             basis_spinors(canonical, energy, 0.3)
 
@@ -235,35 +235,61 @@ class TestBasisSpinors:
             bad = ModelParams(p.mass, p.gamma, p.half_period, alpha_override=1.1 * alpha)
             assert not check_wronskian_unity(bad).passed, p
 
+    def test_corrupted_alpha_fails_darboux_checks(self):
+        for p in oracle_sets(1):
+            alpha = ModelParams(p.mass, p.gamma, p.half_period).alpha
+            bad = ModelParams(p.mass, p.gamma, p.half_period, alpha_override=1.1 * alpha)
+            assert not check_intertwining(bad).passed, p
+            assert not check_darboux_consistency(bad).passed, p
+
+    def test_shifted_transform_fails_intertwining(self, monkeypatch):
+        s1 = darboux.transformed_potential
+        monkeypatch.setattr(darboux, "transformed_potential", lambda p, x: s1(p, x) + 0.1)
+        for p in oracle_sets(1):
+            assert not check_intertwining(ModelParams(p.mass, p.gamma, p.half_period)).passed, p
+
     def test_wrong_energy_fails_residual_check(self, canonical, monkeypatch):
-        fields = soliton.basis_fields
-        monkeypatch.setattr(soliton, "basis_fields", lambda p, e: fields(p, e + 0.1))
+        spinors = soliton.basis_spinors
+        monkeypatch.setattr(soliton, "basis_spinors", lambda p, e, x: spinors(p, e + 0.1, x))
         residual, _ = check_solution_residuals(canonical)
         assert not residual.passed
 
 
+def bound_state(params, column):
+    """Bound state 0 (E = +lam) or 1 (E = -lam) as a function of x."""
+    return lambda x: bound_states(params, x)[column]
+
+
 class TestBoundStates:
     def test_residual_at_plus_lambda(self, canonical):
-        v1, _ = bound_state_fields(canonical)
         pot = soliton_potential(canonical)
+        v1 = bound_state(canonical, 0)
         assert hamiltonian_residual(v1, pot, canonical.mass, canonical.lam, 0.5, h=1e-4) < 1e-6
 
     def test_residual_at_minus_lambda(self, canonical):
-        _, v2 = bound_state_fields(canonical)
         pot = soliton_potential(canonical)
+        v2 = bound_state(canonical, 1)
         assert hamiltonian_residual(v2, pot, canonical.mass, -canonical.lam, 0.5, h=1e-4) < 1e-6
 
     def test_decay_rate(self, canonical):
-        v1, _ = bound_state_fields(canonical)
-        ratio = v1(3.0).norm() / v1(4.0).norm()
-        assert abs(ratio - math.exp(canonical.gamma)) < 0.05 * math.exp(canonical.gamma)
+        v1, _ = bound_states(canonical, np.array([3.0, 4.0]))
+        near, far = np.hypot(*v1)
+        assert abs(near / far - math.exp(canonical.gamma)) < 0.05 * math.exp(canonical.gamma)
 
     def test_finite_and_nonzero_at_origin(self, canonical):
-        v1, v2 = bound_states(canonical, 0.0)
-        for v in (v1, v2):
-            assert v.norm() > 0.0
-            assert math.isfinite(v.norm())
+        for v in bound_states(canonical, 0.0):
+            assert 0.0 < np.hypot(*v) < math.inf
 
     def test_no_singularity_over_wide_grid(self, canonical):
-        for x in np.linspace(-8, 8, 321):
-            bound_states(canonical, float(x))
+        for v in bound_states(canonical, np.linspace(-8, 8, 321)):
+            norm = np.hypot(*v)
+            assert np.all((norm > 0.0) & np.isfinite(norm))
+
+    def test_columns_broadcast_over_x(self, canonical):
+        xs = np.linspace(-3.0, 3.0, 9).reshape(3, 3)
+        v1, v2 = bound_states(canonical, xs)
+        assert v1.shape == v2.shape == (2, 3, 3)
+        for i, x in enumerate(xs.ravel()):
+            a, b = bound_states(canonical, float(x))
+            assert np.array_equal(v1.reshape(2, -1)[:, i], a)
+            assert np.array_equal(v2.reshape(2, -1)[:, i], b)

@@ -3,74 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from conftest import floquet_multipliers
-from diracband import (
-    ScalarPotential,
-    Spinor,
-    SpinorField,
-    basis_fields,
-    hamiltonian_residual,
-    soliton_potential,
-    wronskian,
-)
+from conftest import floquet_multipliers, fundamental_matrix
+from diracband import basis_spinors, bound_states, hamiltonian_residual, soliton_potential
+
+
+def basis_column(params, energy, column):
+    """Column 0 (psi) or 1 (phi) of U(x; E) as a function of x."""
+    return lambda x: basis_spinors(params, energy, x)[column]
+
+
+def unit_det(params, energy, xs):
+    (u11, u12), (u21, u22) = fundamental_matrix(params, energy, xs)
+    return u11 * u22 - u12 * u21
 
 
 class TestWronskian:
-    def test_identical_real_spinor_gives_zero(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, b = rng.normal(size=2)
-            s = Spinor(a, b)
-            assert wronskian(s, s) == 0
-
-    def test_antisymmetry_on_random_real_spinors(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a, b, c, d = rng.normal(size=4)
-            phi, psi = Spinor(a, b), Spinor(c, d)
-            assert wronskian(phi, psi) == -wronskian(psi, phi)
-
     def test_soliton_basis_has_unit_wronskian(self, canonical):
-        psi, phi = basis_fields(canonical, 3.0)
-        assert abs(wronskian(psi(0.0), phi(0.0)) - 1.0) < 1e-12
+        assert abs(unit_det(canonical, 3.0, 0.0) - 1.0) < 1e-12
 
     def test_constant_in_x_over_random_positions(self, canonical):
-        rng = np.random.default_rng(9)
-        psi, phi = basis_fields(canonical, 2.6)
-        ref = wronskian(psi(0.0), phi(0.0))
-        worst = max(abs(wronskian(psi(x), phi(x)) - ref) for x in rng.uniform(-3, 3, 100))
-        assert worst < 1e-10
+        xs = np.random.default_rng(9).uniform(-3, 3, 100)
+        ref = unit_det(canonical, 2.6, 0.0)
+        assert np.abs(unit_det(canonical, 2.6, xs) - ref).max() < 1e-10
 
 
 class TestHamiltonianResidual:
     def test_closed_form_solution_is_small(self, canonical):
-        psi, _ = basis_fields(canonical, 3.0)
         pot = soliton_potential(canonical)
-        r = hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.3, h=1e-4)
+        r = hamiltonian_residual(basis_column(canonical, 3.0, 0), pot, canonical.mass, 3.0, 0.3, h=1e-4)
         assert r < 1e-6
 
     def test_zero_field_gives_zero(self, canonical):
-        zero = SpinorField(lambda x: Spinor(0.0, 0.0), 3.0)
         pot = soliton_potential(canonical)
+        zero = lambda x: np.zeros((2,) + np.shape(x))
         assert hamiltonian_residual(zero, pot, canonical.mass, 3.0, 0.3) == 0.0
 
     def test_wrong_energy_is_detected(self, canonical):
-        psi, _ = basis_fields(canonical, 3.0)
         pot = soliton_potential(canonical)
-        r = hamiltonian_residual(psi, pot, canonical.mass, 3.1, 0.3, h=1e-4)
+        r = hamiltonian_residual(basis_column(canonical, 3.0, 0), pot, canonical.mass, 3.1, 0.3, h=1e-4)
         assert r > 1e-3
 
     def test_second_order_convergence(self, canonical):
-        psi, _ = basis_fields(canonical, 3.0)
+        psi = basis_column(canonical, 3.0, 0)
         pot = soliton_potential(canonical)
         r1 = hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.3, h=1e-4)
         r2 = hamiltonian_residual(psi, pot, canonical.mass, 3.0, 0.3, h=5e-5)
         assert 3.5 < r1 / r2 < 4.5
 
     def test_rejects_nonpositive_step(self, canonical):
-        psi, _ = basis_fields(canonical, 3.0)
+        psi = basis_column(canonical, 3.0, 0)
         with pytest.raises(ValueError):
             hamiltonian_residual(psi, soliton_potential(canonical), canonical.mass, 3.0, 0.3, h=0.0)
+
+    def test_broadcasts_over_x(self, canonical):
+        # an array of x reads, element by element, as each x alone
+        xs = np.linspace(-2.0, 2.0, 9).reshape(3, 3)
+        pot = soliton_potential(canonical)
+        cases = (
+            (basis_column(canonical, 3.0, 1), 3.0),
+            (lambda x: bound_states(canonical, x)[1], -canonical.lam),
+        )
+        for solution, energy in cases:
+            r = hamiltonian_residual(solution, pot, canonical.mass, energy, xs)
+            assert r.shape == xs.shape
+            for x, rx in zip(xs.ravel(), r.ravel()):
+                assert hamiltonian_residual(solution, pot, canonical.mass, energy, float(x)) == rx
 
 
 class TestFloquetMultipliers:
@@ -105,20 +102,3 @@ class TestFloquetMultipliers:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             floquet_multipliers(math.nan)
-
-
-class TestSpinorBasics:
-    def test_rejects_non_finite_components(self):
-        with pytest.raises(ValueError):
-            Spinor(math.inf, 0.0)
-
-    def test_scalar_potential_array_fallback(self):
-        scalar_only = ScalarPotential(lambda x: float(x) ** 2, "scalar-only")
-        xs = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(scalar_only.values(xs), xs**2)
-
-    def test_field_derivative_fallback(self):
-        field = SpinorField(lambda x: Spinor(math.sin(x), math.cos(x)), 0.0)
-        d = field.d(0.3)
-        assert abs(d.c1 - math.cos(0.3)) < 1e-9
-        assert abs(d.c2 + math.sin(0.3)) < 1e-9
