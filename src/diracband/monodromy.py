@@ -9,6 +9,13 @@ A is trace-free, so det M = 1 exactly; determinant drift measures the
 integration error.  tr M(x0+T) is the discriminant of the periodic
 problem and must match the closed form wherever both are defined.
 
+The step count follows the cell by step doubling, the classical error
+estimate of a one-step method (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.4): D is integrated at N steps and at 2N, and N doubles while
+|D_N - D_2N| / max(1, |D_2N|) exceeds ERROR_TARGET at any energy and 2N
+stays within MAX_STEPS.  RK4's error falls 16-fold per doubling, so the
+estimate bounds the error of D_2N about fifteen times over.
+
 The system is linear, so the RK4 map over one period is the ordered
 product of the per-step RK4 matrices, and that product may be grouped
 freely.  The step grid is cut into blocks; the RK4 recurrence runs in
@@ -43,7 +50,14 @@ import numpy as np
 from .errors import StepCountTooSmall
 from .spinor import det_drift
 
-DEFAULT_STEPS = 20000
+#: the first step count of the doubling
+DEFAULT_STEPS = 2000
+#: doubling stops once |D_N - D_2N| / max(1, |D_2N|) is at most this at
+#: every energy of the call
+ERROR_TARGET = 1e-7
+#: ... or when doubling again would pass this count; D at the last count
+#: is then returned as it is, without an error
+MAX_STEPS = 32000
 DET_DRIFT_LIMIT = 1e-6
 
 #: blocks x energies integrated side by side; sets the block length.  On a
@@ -234,6 +248,13 @@ def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
         )
 
 
+def _trace(potential: Callable, m: float, energies: np.ndarray, a: float, steps: int) -> np.ndarray:
+    """tr M over [-a, a] at ``steps`` steps, after the det-drift check."""
+    m11, m12, m21, m22 = _propagate(potential, m, energies, -a, 2.0 * a, steps)
+    _check_drift(m11, m12, m21, m22, energies, steps)
+    return m11 + m22
+
+
 def lyapunov_numeric_many(
     potential: Callable,
     m: float,
@@ -241,12 +262,19 @@ def lyapunov_numeric_many(
     a: float,
     steps: int = DEFAULT_STEPS,
 ) -> np.ndarray:
-    """Discriminant tr M over [-a, a] at every energy, in one integration
-    pass; ``potential`` maps an x array to S(x).
+    """Discriminant tr M over [-a, a] at every energy; ``potential`` maps
+    an x array to S(x).
 
-    Raises StepCountTooSmall when det M drifts from 1 by more than
-    DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which means the
-    step is too coarse for this potential and energy.
+    ``steps`` is the first step count.  The count doubles while
+    |D_N - D_2N| / max(1, |D_2N|), between the last two counts, exceeds
+    ERROR_TARGET at any energy and the doubled count is within MAX_STEPS;
+    every energy is integrated at every count.  Returns D at the last
+    count: from DEFAULT_STEPS that is 4000 to MAX_STEPS, and a first count
+    above MAX_STEPS / 2 is the only one.
+
+    Raises StepCountTooSmall when, at any count, det M drifts from 1 by
+    more than DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which
+    means the step is too coarse for this potential and energy.
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -254,6 +282,11 @@ def lyapunov_numeric_many(
     # where h|E| is too large for RK4 the entries overflow to inf or NaN;
     # the drift check turns that into StepCountTooSmall, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        m11, m12, m21, m22 = _propagate(potential, m, e, -a, 2.0 * a, steps)
-        _check_drift(m11, m12, m21, m22, e, steps)
-    return m11 + m22
+        fine = _trace(potential, m, e, a, steps)
+        while 2 * steps <= MAX_STEPS:
+            coarse, steps = fine, 2 * steps
+            fine = _trace(potential, m, e, a, steps)
+            error = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
+            if not np.any(error > ERROR_TARGET):
+                break
+    return fine

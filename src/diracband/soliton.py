@@ -182,10 +182,18 @@ def basis_spinors(params: ModelParams, energy: float, x):
     )
 
 
+def _libm_cosh(z: float) -> float:
+    """math.cosh, but inf where it overflows (|z| above about 710.5)."""
+    try:
+        return math.cosh(z)
+    except OverflowError:
+        return math.inf
+
+
 #: libm's cosh elementwise: np.cosh differs from it in the last bit on
 #: about a quarter of arguments, and verify's residual-order check reads
 #: the bound-state residuals on their rounding floor
-_cosh = np.vectorize(math.cosh, otypes=[float])
+_cosh = np.vectorize(_libm_cosh, otypes=[float])
 
 
 def bound_states(params: ModelParams, x):
@@ -195,9 +203,13 @@ def bound_states(params: ModelParams, x):
     Column 1 solves the transformed problem at E = +lam, column 2 at
     E = -lam; both decay like exp(-gamma*|x|).  The determinant of u is
     2*cosh(g x - a)*cosh(g x + a) >= 2, so u is invertible at every x.
+    Where cosh overflows the states read 0.
     """
     g, al = params.gamma, params.alpha
     x = np.asarray(x, dtype=float)
-    half_m = 1.0 / (2.0 * _cosh(g * x - al))
-    half_p = 1.0 / (2.0 * _cosh(g * x + al))
+    # an overflowing math.cosh leaves the floating-point overflow flag set,
+    # and numpy would warn on it after the vectorized call
+    with np.errstate(over="ignore"):
+        half_m = 1.0 / (2.0 * _cosh(g * x - al))
+        half_p = 1.0 / (2.0 * _cosh(g * x + al))
     return np.array([half_m, half_p]), np.array([-half_m, half_p])

@@ -50,7 +50,7 @@ def test_criterion_1_band_edge_regression(canonical, table):
 
 def test_criterion_2_oracle_equivalence(canonical):
     start = time.perf_counter()
-    result = check_oracle_equivalence(canonical, steps=20000)
+    result = check_oracle_equivalence(canonical)
     elapsed = time.perf_counter() - start
     report("2", result.passed and elapsed < 10.0,
            f"max |closed - oracle| / max(1, |D|) = {result.residual:.2e} (tol 1e-6), "

@@ -336,6 +336,15 @@ class TestVerifyCommand:
         assert {"wronskian-unity", "lyapunov-evenness", "dirac-residual",
                 "intertwining", "oracle-equivalence", "band-edge-regression"} <= names
 
+    def test_one_band_table_for_both_table_checks(self, canonical, monkeypatch):
+        band_edges_calls = []
+        build = cli.verify.bands.band_edges
+        monkeypatch.setattr(cli.verify.bands, "band_edges",
+                            lambda *a, **k: band_edges_calls.append(a) or build(*a, **k))
+        names = [r.name for r in cli.verify.run_verification(canonical)]
+        assert len(band_edges_calls) == 1
+        assert {"band-table-structure", "band-edge-regression"} <= set(names)
+
     def test_corrupted_alpha_fails_regression(self, tmp_path, capsys, monkeypatch):
         run_verification = cli.verify.run_verification
 

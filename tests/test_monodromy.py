@@ -6,6 +6,7 @@ import pytest
 from diracband import (
     ModelParams,
     StepCountTooSmall,
+    band_edges,
     lyapunov_many,
     lyapunov_numeric_many,
     monodromy,
@@ -107,12 +108,17 @@ class TestMonodromyInvariants:
 
     def test_fourth_order_convergence(self, canonical):
         # E picked where the leading h^4 error coefficient is healthy; the
-        # reference at 2^16 steps is converged far below the measured errors
+        # reference at 2^16 steps is converged far below the measured errors.
+        # Fixed counts, without the oracle's step doubling
         pot = periodized_potential(canonical)
-        e = 5.1
-        ref = trace_at(pot, canonical.mass, e, steps=2**16)
-        err1 = abs(trace_at(pot, canonical.mass, e, steps=250) - ref)
-        err2 = abs(trace_at(pot, canonical.mass, e, steps=500) - ref)
+
+        def fixed_trace(steps):
+            m11, _, _, m22 = monodromy._propagate(pot, canonical.mass, np.array([5.1]), -A, 2 * A, steps)
+            return float(m11[0] + m22[0])
+
+        ref = fixed_trace(2**16)
+        err1 = abs(fixed_trace(250) - ref)
+        err2 = abs(fixed_trace(500) - ref)
         assert 12.0 < err1 / err2 < 20.0
 
     def test_matches_closed_form(self, canonical):
@@ -221,6 +227,86 @@ class TestBlockedProduct:
         assert traces.shape == (0,)
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """(steps, tr M) of every ``_propagate`` call, in call order."""
+    calls = []
+    propagate = monodromy._propagate
+
+    def recording(potential, m, energies, x0, period, steps):
+        entries = propagate(potential, m, energies, x0, period, steps)
+        calls.append((steps, entries[0] + entries[3]))
+        return entries
+
+    monkeypatch.setattr(monodromy, "_propagate", recording)
+    return calls
+
+
+#: a deep cell (gamma a ~ 11) whose bound-state band, 1.8e-8 wide around
+#: E = lambda, needs the oracle's full step budget
+DEEP = ModelParams(mass=4.613, gamma=4.235, half_period=2.621)
+DEEP_EDGE = 1.8288094398343047
+
+
+class TestStepDoubling:
+    def test_canonical_set_stops_at_the_first_pair(self, canonical, passes):
+        pot = periodized_potential(canonical)
+        assert check_oracle_equivalence(canonical).passed
+        assert [steps for steps, _ in passes] == [2000, 4000]
+        passes.clear()
+        edges = np.array(band_edges(canonical, e_max=7.0).edges)
+        lyapunov_numeric_many(pot, canonical.mass, edges, A)
+        assert [steps for steps, _ in passes] == [2000, 4000]
+
+    def test_deep_cell_escalates_to_the_cap(self, passes):
+        # the band's lower edge; at its upper edge the closed form itself
+        # is 1.5e-5 off, by cancellation, whatever the step count
+        edges = band_edges(DEEP, e_max=3.0).edges
+        assert DEEP_EDGE in edges
+        d = lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, np.array([DEEP_EDGE]), DEEP.half_period)
+        assert [steps for steps, _ in passes] == [2000, 4000, 8000, 16000, 32000]
+        assert abs(d[0] - lyapunov_many(DEEP, [DEEP_EDGE])[0]) < 1e-5
+
+    def test_cap_is_respected_without_raising(self, passes, monkeypatch):
+        monkeypatch.setattr(monodromy, "MAX_STEPS", 12000)
+        e = np.array([DEEP_EDGE])
+        d = lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, e, DEEP.half_period)
+        assert [steps for steps, _ in passes] == [2000, 4000, 8000]
+        # unresolved at the cap, and D at the last count is returned
+        (_, coarse), (_, fine) = passes[-2:]
+        assert abs(fine - coarse)[0] > monodromy.ERROR_TARGET
+        assert d[0] == fine[0]
+        # a first count above half the cap is the only count
+        passes.clear()
+        lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, e, DEEP.half_period, steps=7000)
+        assert [steps for steps, _ in passes] == [7000]
+
+    def test_drift_raises_at_the_first_count(self, canonical, passes):
+        with pytest.raises(StepCountTooSmall, match=TestGuards.DRIFT_MESSAGE):
+            lyapunov_numeric_many(periodized_potential(canonical), canonical.mass, np.array([7.9]), A, steps=100)
+        assert [steps for steps, _ in passes] == [100]
+
+    def test_estimate_bounds_the_error(self, passes):
+        # 64 sets drawn as the benchmark's oracle sets are (m in [0.5, 5],
+        # gamma/m in [0.05, 0.95], a in [0.3, 3]), 40 random energies each
+        # in |E| <= m + 5.  The floor is the rounding of the two traces;
+        # band edges of deep cells are left out, because the closed form
+        # cancels there to about 1e-5
+        rng = np.random.default_rng(20261019)
+        masses, ratios, halves = rng.uniform(0.5, 5.0, 64), rng.uniform(0.05, 0.95, 64), rng.uniform(0.3, 3.0, 64)
+        for m, ratio, a in zip(masses, ratios, halves):
+            params = ModelParams(float(m), float(m * ratio), float(a))
+            es = rng.uniform(-(m + 5.0), m + 5.0, 40)
+            passes.clear()
+            d = lyapunov_numeric_many(periodized_potential(params), params.mass, es, params.half_period)
+            closed = lyapunov_many(params, es)
+            (_, coarse), (_, fine) = passes[-2:]
+            scale = np.maximum(1.0, np.abs(closed))
+            error = np.abs(d - closed) / scale
+            estimate = np.abs(fine - coarse) / scale
+            assert np.all(error <= estimate + 1e-12), params
+
+
 class TestGuards:
     DRIFT_MESSAGE = r"^det drifted by \S+ at E=7\.9 with 100 steps; refine$"
 
@@ -235,7 +321,7 @@ class TestGuards:
             lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
 
     def test_unstable_energy_raises_without_warnings(self, canonical):
-        # h|E| = 10 at the default step: RK4 blows up and the entries
+        # h|E| = 100 at the default first step: RK4 blows up and the entries
         # overflow; the suite turns any RuntimeWarning into an error
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=r"^det drifted by nan at E=100000\.0 "):
@@ -250,17 +336,22 @@ class TestGuards:
     def test_large_monodromy_is_not_a_drift(self):
         # strongly evanescent cell: max|M_ij|^2 reaches ~9e16, so rounding
         # in m11*m22 - m12*m21 alone moves det M by up to 0.25
+        # the default first count stops at 4000 steps, 1e-10 from the closed
+        # form; from 10000 the oracle stops at 20000
         params = ModelParams(mass=5.0, gamma=0.7, half_period=2.0)
         es = np.linspace(0.0, params.mass, 401)
-        traces = lyapunov_numeric_many(periodized_potential(params), params.mass, es, 2.0)
+        traces = lyapunov_numeric_many(periodized_potential(params), params.mass, es, 2.0, steps=10000)
         closed = lyapunov_many(params, es)
         assert np.max(np.abs(traces - closed) / np.maximum(1.0, np.abs(closed))) < 1e-12
 
-    def test_oracle_equivalence_is_relative(self):
+    def test_oracle_equivalence_is_relative(self, monkeypatch):
         # |D| reaches 8.8e8 in this evanescent cell: the absolute gap to the
         # oracle is 1.7e-4 at 20000 steps, but 3.7e-12 of |D|
         params = ModelParams(4.292392583703351, 1.1109415490885999, 2.461095340625619)
         assert check_oracle_equivalence(params, steps=20000).passed
+        assert check_oracle_equivalence(params).passed
+        # a cap of 500 keeps the oracle at its first count of 500 steps
+        monkeypatch.setattr(monodromy, "MAX_STEPS", 500)
         coarse = check_oracle_equivalence(params, steps=500)
         assert not coarse.passed and coarse.residual < 1e-4
 

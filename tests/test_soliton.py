@@ -18,7 +18,7 @@ from diracband import (
     soliton_potential,
     w_functions,
 )
-from diracband.monodromy import DEFAULT_STEPS, _propagate
+from diracband.monodromy import _propagate
 from diracband.soliton import free_pair
 from diracband.spinor import det_drift
 from diracband.verify import (
@@ -192,7 +192,7 @@ class TestBasisSpinors:
     def test_matches_oracle_transfer_matrix(self, canonical):
         es = np.array(ORACLE_ENERGIES)
         m11, m12, m21, m22 = _propagate(
-            periodized_potential(canonical), canonical.mass, es, -1.0, 2.0, DEFAULT_STEPS
+            periodized_potential(canonical), canonical.mass, es, -1.0, 2.0, 20000
         )
         for i, e in enumerate(es):
             oracle = np.array([[m11[i], m12[i]], [m21[i], m22[i]]])
@@ -284,6 +284,26 @@ class TestBoundStates:
         for v in bound_states(canonical, np.linspace(-8, 8, 321)):
             norm = np.hypot(*v)
             assert np.all((norm > 0.0) & np.isfinite(norm))
+
+    def test_decayed_to_zero_far_out(self, canonical):
+        # cosh(gamma x -+ alpha) overflows past |x| ~ 410: the states read 0
+        for x in (500.0, -500.0):
+            for v in bound_states(canonical, x):
+                assert np.array_equal(v, [0.0, 0.0])
+        v1, v2 = bound_states(canonical, np.array([-500.0, 0.3, 500.0]))
+        assert np.array_equal(v1[:, 1], bound_states(canonical, 0.3)[0])
+
+    def test_libm_bits_at_verify_points(self, canonical):
+        # residual-order reads the residuals on their rounding floor, so the
+        # states keep libm's cosh bit for bit at the points verify samples
+        g, al = canonical.gamma, canonical.alpha
+        for h in (1e-4, 5e-5):
+            for x in np.array([0.3, -0.7, 1.1])[:, None] + np.array([-h, 0.0, h]):
+                half_m = np.array([1.0 / (2.0 * math.cosh(g * xi - al)) for xi in x])
+                half_p = np.array([1.0 / (2.0 * math.cosh(g * xi + al)) for xi in x])
+                v1, v2 = bound_states(canonical, x)
+                assert v1.tobytes() == np.array([half_m, half_p]).tobytes()
+                assert v2.tobytes() == np.array([-half_m, half_p]).tobytes()
 
     def test_columns_broadcast_over_x(self, canonical):
         xs = np.linspace(-3.0, 3.0, 9).reshape(3, 3)
