@@ -13,8 +13,10 @@ The step count follows the cell by step doubling, the classical error
 estimate of a one-step method (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4): D is integrated at N steps and at 2N, and N doubles while
 |D_N - D_2N| / max(1, |D_2N|) exceeds ERROR_TARGET at any energy and 2N
-stays within MAX_STEPS.  RK4's error falls 16-fold per doubling, so the
-estimate bounds the error of D_2N about fifteen times over.
+stays within MAX_STEPS.  A count at which det M drifts is doubled too;
+only a drift at the last count raises.  RK4's error falls 16-fold per
+doubling, so the estimate bounds the error of D_2N about fifteen times
+over.
 
 The system is linear, so the RK4 map over one period is the ordered
 product of the per-step RK4 matrices, and that product may be grouped
@@ -272,21 +274,32 @@ def lyapunov_numeric_many(
     count: from DEFAULT_STEPS that is 4000 to MAX_STEPS, and a first count
     above MAX_STEPS / 2 is the only one.
 
-    Raises StepCountTooSmall when, at any count, det M drifts from 1 by
-    more than DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2), which
-    means the step is too coarse for this potential and energy.
+    det M is checked at every count.  Where it drifts from 1 by more than
+    DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2) the step is too coarse
+    for this potential and energy: below the cap the count doubles, and at
+    the last count StepCountTooSmall is raised.
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
     e = np.asarray(energies, dtype=float)
+    coarse = None
     # where h|E| is too large for RK4 the entries overflow to inf or NaN;
-    # the drift check turns that into StepCountTooSmall, not warnings
+    # the drift check turns that into a refinement or StepCountTooSmall,
+    # not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        fine = _trace(potential, m, e, a, steps)
-        while 2 * steps <= MAX_STEPS:
+        while True:
+            last = 2 * steps > MAX_STEPS
+            try:
+                fine = _trace(potential, m, e, a, steps)
+            except StepCountTooSmall:
+                if last:
+                    raise
+                coarse, steps = None, 2 * steps
+                continue
+            if last:
+                return fine
+            if coarse is not None:
+                error = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
+                if not np.any(error > ERROR_TARGET):
+                    return fine
             coarse, steps = fine, 2 * steps
-            fine = _trace(potential, m, e, a, steps)
-            error = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
-            if not np.any(error > ERROR_TARGET):
-                break
-    return fine

@@ -223,6 +223,14 @@ class TestBandsCommand:
         pos = sorted(e for e in edges if e > 0)
         assert neg == pos
 
+    def test_verify_at_high_energy(self, tmp_path):
+        # the oracle's first count drifts at these edges, and doubling
+        # refines it; the fixed 20000-step oracle answered them too
+        code, text = run(["bands", "--verify", "--emax", "100"], tmp_path, "b.json")
+        assert code == 0
+        residuals = [v["residual"] for v in json.loads(text)["data"]["verification"]]
+        assert len(residuals) == 127 and max(residuals) < 1e-8
+
     def test_narrow_band_edges_round_trip(self, tmp_path):
         # an allowed band 7e-7 wide at E = 2.5396: rounded to 12 digits its
         # upper edge reads |D| - 2 = 1.7e-5

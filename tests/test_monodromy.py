@@ -281,7 +281,22 @@ class TestStepDoubling:
         lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, e, DEEP.half_period, steps=7000)
         assert [steps for steps, _ in passes] == [7000]
 
-    def test_drift_raises_at_the_first_count(self, canonical, passes):
+    def test_drift_below_the_cap_is_refined(self, canonical, passes):
+        pot = periodized_potential(canonical)
+        d = lyapunov_numeric_many(pot, canonical.mass, np.array([7.9]), A, steps=100)
+        assert [steps for steps, _ in passes] == [100, 200, 400, 800]
+        assert abs(d[0] - lyapunov_many(canonical, [7.9])[0]) < 1e-7
+
+    def test_high_energy_is_answered(self, canonical, passes):
+        # h|E| = 0.1 at the first count: det M drifts by 2.8e-5 there, and
+        # the fixed 20000-step oracle answered this energy
+        pot = periodized_potential(canonical)
+        d = lyapunov_numeric_many(pot, canonical.mass, np.array([100.0]), A)
+        assert [steps for steps, _ in passes][-1] == monodromy.MAX_STEPS
+        assert abs(d[0] - lyapunov_many(canonical, [100.0])[0]) < 1e-7
+
+    def test_drift_at_the_last_count_raises(self, canonical, passes, monkeypatch):
+        monkeypatch.setattr(monodromy, "MAX_STEPS", 100)
         with pytest.raises(StepCountTooSmall, match=TestGuards.DRIFT_MESSAGE):
             lyapunov_numeric_many(periodized_potential(canonical), canonical.mass, np.array([7.9]), A, steps=100)
         assert [steps for steps, _ in passes] == [100]
@@ -310,21 +325,26 @@ class TestStepDoubling:
 class TestGuards:
     DRIFT_MESSAGE = r"^det drifted by \S+ at E=7\.9 with 100 steps; refine$"
 
-    def test_step_count_too_small(self, canonical):
+    # below the cap a drifting count is refined; a cap of 100 makes the
+    # first count of 100 steps the last one
+    def test_step_count_too_small(self, canonical, monkeypatch):
+        monkeypatch.setattr(monodromy, "MAX_STEPS", 100)
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             lyapunov_numeric_many(pot, canonical.mass, np.array([7.9]), A, steps=100)
 
-    def test_sweep_names_the_worst_energy(self, canonical):
+    def test_sweep_names_the_worst_energy(self, canonical, monkeypatch):
+        monkeypatch.setattr(monodromy, "MAX_STEPS", 100)
         pot = periodized_potential(canonical)
         with pytest.raises(StepCountTooSmall, match=self.DRIFT_MESSAGE):
             lyapunov_numeric_many(pot, canonical.mass, np.array([2.5, 7.9, 3.0]), A, steps=100)
 
     def test_unstable_energy_raises_without_warnings(self, canonical):
-        # h|E| = 100 at the default first step: RK4 blows up and the entries
-        # overflow; the suite turns any RuntimeWarning into an error
+        # h|E| = 100 at the default first step and 6.25 at the cap: RK4
+        # blows up at every count and the entries overflow; the suite turns
+        # any RuntimeWarning into an error
         pot = periodized_potential(canonical)
-        with pytest.raises(StepCountTooSmall, match=r"^det drifted by nan at E=100000\.0 "):
+        with pytest.raises(StepCountTooSmall, match=r"^det drifted by nan at E=100000\.0 with 32000 steps; refine$"):
             lyapunov_numeric_many(pot, canonical.mass, np.array([3.0, 1e5]), A)
 
     def test_non_finite_monodromy_raises(self, canonical):
