@@ -5,9 +5,10 @@ periodized one-soliton model: the potential profile, the discriminant
 trace, the band table, dispersion curves, and the self-check report.
 Artifacts are deterministic for a fixed configuration on one machine and
 BLAS build (the oracle evaluates its step polynomials by matrix
-products, whose last bits may differ on another CPU or BLAS); numbers
-are written with 12 significant digits, except the band table's energies
-(edges, band bounds, e_max), which are written at round-trip precision.
+products, whose last bits may differ on another CPU or BLAS, and with
+the other energies of the call); numbers are written with 12
+significant digits, except the band table's energies (edges, band
+bounds, e_max), which are written at round-trip precision.
 
 Exit codes: 0 success, 1 validation failure, 2 computation error,
 3 verification failure.
@@ -113,20 +114,34 @@ def cmd_potential(args: argparse.Namespace, params: soliton.ModelParams) -> list
 
 
 def _tabulated_potential(path: str, params: soliton.ModelParams):
-    """Two-column CSV (x, S), linearly interpolated and periodized.
+    """Two-column CSV (x, S), linearly interpolated and periodized, and
+    its x column, sorted.
 
     Interpolation error between samples is the caller's to budget.
     """
+    import warnings  # loaded with numpy already
+
     try:
-        raw = np.genfromtxt(path, delimiter=",", comments="#", skip_header=0)
+        with open(path, encoding="utf-8") as fh:
+            # the first line that is not blank or a comment: a header
+            # unless every field is a number
+            line = fh.readline()
+            while line and not line.split("#", 1)[0].strip():
+                line = fh.readline()
+            try:
+                [float(field) for field in line.split("#", 1)[0].split(",")]
+                fh.seek(0)
+            except ValueError:
+                pass
+            with warnings.catch_warnings():  # a header and no rows: no data
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise DiracBandError(f"cannot read potential file '{path}': {exc}") from exc
-    except ValueError as exc:  # rows of unequal length
+    except ValueError as exc:  # rows of unequal length, or a cell not a number
         raise ConfigError(f"--potential-file '{path}' is not a two-column table: {exc}") from exc
-    if raw.ndim != 2 or raw.shape[1] < 2:
+    if raw.shape[1] < 2:
         raise ConfigError(f"--potential-file '{path}' must have two numeric columns")
-    if np.isnan(raw[0]).any():  # header row
-        raw = raw[1:]
     if not np.isfinite(raw).all() or raw.shape[0] < 2:
         raise ConfigError(f"--potential-file '{path}' has non-numeric, non-finite or too few rows")
     xs, ss = raw[:, 0], raw[:, 1]
@@ -138,15 +153,16 @@ def _tabulated_potential(path: str, params: soliton.ModelParams):
             f"--potential-file '{path}' must cover [-a, a] = [{-a}, {a}], spans [{xs[0]}, {xs[-1]}]"
         )
 
-    return lambda x: np.interp(soliton.fold_into_cell(params, x), xs, ss)
+    return (lambda x: np.interp(soliton.fold_into_cell(params, x), xs, ss)), xs
 
 
 def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
     """Discriminant trace, columns `e,d,regime`."""
     if args.potential_file is not None:
-        pot = _tabulated_potential(args.potential_file, params)
+        pot, knots = _tabulated_potential(args.potential_file, params)
         es = bands.energy_grid(args.e_min, args.e_max, args.samples)
-        ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period)
+        # steps on the table's rows: RK4 meets one linear piece per step
+        ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period, knots=knots)
         rows = zip(es.tolist(), ds.tolist(), bands.regimes(params, es))
     else:
         rows = bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples)

@@ -16,32 +16,46 @@ sec. II.4): D is integrated at N steps and at 2N, and N doubles while
 stays within MAX_STEPS.  A count at which det M drifts is doubled too;
 only a drift at the last count raises.  RK4's error falls 16-fold per
 doubling, so the estimate bounds the error of D_2N about fifteen times
-over.
+over.  The first count is sized from the right-hand side, as the same
+section chooses a starting step: with omega = max(max |E|, max |m + S|)
+over the call and the cell, it is the smallest DEFAULT_STEPS * 2**k at
+which h * omega <= FIRST_STEP_SCALE (``first_steps``).  Over the 1,024
+oracle sets of bench seeds 1-16 the band edges of ``bands --verify``
+then stop at 500 steps (55 calls), 1000 (162), 2000 (342), 4000 (389),
+8000 (42), 16000 (14) and 32000 (20), and verify's 40 energies at 500
+(46), 1000 (147), 2000 (293), 4000 (470) and 8000 (68).
+
+The steps run between nodes that include given knots: a tabulated
+potential, linear between its rows, passes its x column, and each
+interval between knots inside [-a, a] is cut into the same number of
+equal steps (the uniform grid is the case with one interval).  RK4 then
+meets one linear piece per step and keeps its fourth order, whatever
+the row count; doubling a count halves every step.
 
 The system is linear, so the RK4 map over one period is the ordered
 product of the per-step RK4 matrices, and that product may be grouped
-freely.  The step grid is cut into blocks; the RK4 recurrence runs in
-all blocks and at all energies at once, starting from the identity, and
-the block matrices are then multiplied by a pairwise tree reduction (an
+freely.  The steps are cut into blocks; the RK4 recurrence runs in all
+blocks and at all energies at once, starting from the identity, and the
+block matrices are then multiplied by a pairwise tree reduction (an
 associative scan).  The Python loop runs over one block instead of one
-period.  A single fixed-step grid of potential samples is shared
-by every energy.
+period.  One grid of potential samples is shared by every energy.
 
 One RK4 step is I + D, where D is a polynomial in E whose coefficients
-depend only on h and the step's samples of m+S at x, x+h/2 and x+h: the
-diagonal entries are c0 + c2 E^2 + c4 E^4, the off-diagonal ones
+depend only on the step's h and its samples of m+S at x, x+h/2 and x+h:
+the diagonal entries are c0 + c2 E^2 + c4 E^4, the off-diagonal ones
 E (c1 + c3 E^2).  This is the same four-stage map, regrouped exactly
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  Products of such
 maps keep the form: over k steps the diagonal entries are polynomials in
 E^2 with 2k+1 coefficients, the off-diagonal ones E times polynomials in
 E^2 with 2k.  So runs of up to eight steps are composed once per call,
 on the coefficients and before any energy is seen, into one fused step.
-The loop then takes one fused step per run: matrix products of the
-powers of E with the coefficient rows give P(E) for a few fused steps of
-every block, and X <- (X + P) + P X costs 20 array operations.
-The diagonal entries are even in E and the off-diagonal ones odd, so
-M(-E) = sigma_z M(|E|) sigma_z holds exactly and only the distinct |E|
-are integrated.
+The loop runs in the frame T^-1 M T with T = diag(1, E), where all four
+entries are polynomials in E^2 (E D12 and D21 / E), so one matrix
+product of the coefficient rows of a few fused steps of every block with
+the powers of E^2 gives P(E), and X <- (X + P) + P X costs 20 array
+operations.  The diagonal entries are even in E and the off-diagonal
+ones odd, so M(-E) = sigma_z M(|E|) sigma_z holds exactly and only the
+distinct |E| are integrated.
 """
 from __future__ import annotations
 
@@ -52,8 +66,13 @@ import numpy as np
 from .errors import StepCountTooSmall
 from .spinor import det_drift
 
-#: the first step count of the doubling
-DEFAULT_STEPS = 2000
+#: the first step count of the doubling is a multiple of this: the
+#: smallest DEFAULT_STEPS * 2**k with h * omega <= FIRST_STEP_SCALE
+DEFAULT_STEPS = 250
+#: h * omega at the first count, omega = max(max |E|, max |m + S|); over
+#: the first 12 oracle units of bench seeds 1-3 the passing count had
+#: h * omega between 0.011 and 0.056
+FIRST_STEP_SCALE = 0.025
 #: doubling stops once |D_N - D_2N| / max(1, |D_2N|) is at most this at
 #: every energy of the call
 ERROR_TARGET = 1e-7
@@ -63,19 +82,20 @@ MAX_STEPS = 32000
 DET_DRIFT_LIMIT = 1e-6
 
 #: blocks x energies integrated side by side; sets the block length.  On a
-#: 2 vCPU Xeon, with one RK4 step per pass of the loop, 20000 steps at 701
-#: energies took 0.49 s at 2**12, 0.41 s at 2**13 and 2**14 and 0.70 s at
-#: 2**15; 1 and 40 energies were flat there
-_BLOCK_ELEMENTS = 2**13
-#: most RK4 steps composed into one fused step, a power of two.  On a
-#: 2 vCPU Xeon at 20000 steps, 4 was slower from 100 energies up, and 16
-#: slower at 100 to 400 and faster only at 701.  Below 64 energies fewer
-#: steps are fused (see _propagate): there the composition costs more
-#: than it saves, and 1 was fastest at 1 to 8 energies, 2 at 12, 4 at 40
+#: 2 vCPU Xeon, replaying the oracle calls of the first four oracle units
+#: of bench seeds 1-3 (passes of 250 to 4000 steps), 2**11 took 0.72 of
+#: the time of 2**13 and 2**10 0.73: at 2**13 the work arrays were
+#: returned to the system after each call, and each call page-faulted
+#: about 640 times, at 2.5 us a fault there
+_BLOCK_ELEMENTS = 2**11
+#: most RK4 steps composed into one fused step, a power of two; in the
+#: same replay 16 took 1.05 and 4 1.23 of the time of 8.  Below 64
+#: distinct |E| fewer steps are fused (see _propagate): there the
+#: composition costs more than it saves
 _FUSED = 8
-#: fused steps evaluated per matrix product; 4 was faster there than 8 to
-#: 64, whose products and their operands no longer fit the cache
-_CHUNK = 4
+#: fused steps evaluated per matrix product; 1 took 1.04 and 8 1.01 of
+#: the time of 2 in the same replay
+_CHUNK = 2
 
 
 def _add_product(out, p, q):
@@ -112,128 +132,135 @@ def _fuse_pairs(f):
     return fused
 
 
-def _propagate(potential: Callable, m: float, energies, x0: float, period: float, steps: int):
-    """RK4 for the fundamental matrix, all energies at once.
+def _breakpoints(a: float, knots) -> np.ndarray:
+    """-a, the knots inside (-a, a) and a: the ends of the intervals that
+    the steps cut."""
+    if knots is None:
+        return np.array([-a, a])
+    knots = np.unique(np.asarray(knots, dtype=float))
+    return np.concatenate(([-a], knots[(knots > -a) & (knots < a)], [a]))
 
-    The step grid is cut into ``n_blocks`` blocks of ``block`` steps, and
-    each block into ``n_fused`` groups of ``fused`` steps (``_FUSED`` from
-    64 energies up, fewer below); the steps past the grid's end get
-    coefficients that are all zero, so they map to the identity exactly.
+
+def _nodes(edges: np.ndarray, substeps: int) -> np.ndarray:
+    """Step nodes: ``substeps`` equal steps in each interval of ``edges``."""
+    h = np.diff(edges) / substeps
+    xs = edges[:-1, None] + h[:, None] * np.arange(substeps)
+    return np.append(xs.ravel(), edges[-1])
+
+
+def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
+    """RK4 for the fundamental matrix from ``xs[0]`` to ``xs[-1]``, one step
+    between consecutive nodes, all energies at once.
+
+    The steps are cut into groups of ``fused`` steps (``_FUSED`` from 64
+    distinct |E| up, fewer below), and the groups into ``n_blocks`` blocks
+    of ``n_fused``; the steps past the grid's end get coefficients that
+    are all zero, so they map to the identity exactly.
     The steps of each group are composed once per call, before any energy
     is seen, into one fused step I + P whose entries are polynomials in E
-    (``_fuse_pairs``).  The loop evaluates P for ``_CHUNK`` fused steps of
-    every block at a time, as matrix products of the powers of E with the
-    coefficient rows, and accumulates X <- (X + P) + P X in every block at
-    once, from X = 0; ``_ordered_product`` then multiplies the block
-    matrices.  A block matrix is I + X with X small, so X is carried:
-    rounding 1 + X would lose X's low digits in every block alike, and the
-    errors would add up over the blocks instead of averaging out.
+    (``_fuse_pairs``).  In the frame T^-1 M T, T = diag(1, E), all four
+    entries are polynomials in E^2 of one length, so the coefficient rows
+    of ``_CHUNK`` fused steps of every block, (fused steps x entries x
+    blocks, powers), take one matrix product with the powers of E^2,
+    (powers, distinct |E|), and give P straight in the (blocks, energies)
+    layout of X.  X <- (X + P) + P X is accumulated in every block at once,
+    from X = 0; ``_ordered_product`` then multiplies the block matrices.
+    A block matrix is I + X with X small, so X is carried: rounding 1 + X
+    would lose X's low digits in every block alike, and the errors would
+    add up over the blocks instead of averaging out.
 
     Each distinct |E| is integrated once; M(-E) = sigma_z M(|E|) sigma_z
-    is exact.  ``n_blocks`` and ``fused`` follow the requested energy
-    count, not the distinct one, and each energy's powers take a matrix
-    product of their own, of one shape whatever the other energies are,
-    so an energy's bits do not depend on the other energies of the call.
-    (One product over all energies is faster, but the BLAS picks its
-    kernel by the shape of the product and the place of a column in it,
-    so an energy's last bits could move with the number and values of its
-    neighbours.)
+    is exact, and a repeated call returns the same bits.  The BLAS picks
+    its kernel by the shape of the product and the place of a column in
+    it, so an energy's last bits may move with the number and values of
+    the other energies of the call (within 1e-14 of max(1, |D|) in the
+    tests).
 
     Returns the four matrix entries as arrays shaped like ``energies``.
     """
     energies = np.asarray(energies, dtype=float)
-    h = period / steps
-    xs = x0 + h * np.arange(steps + 1)
+    h = np.diff(xs)
+    steps = h.size
     s_node = m + potential(xs)
     s_half = m + potential(xs[:-1] + 0.5 * h)
 
-    n_blocks = max(1, min(_BLOCK_ELEMENTS // max(energies.size, 1), steps))
-    block = -(-steps // n_blocks)
-    n_blocks = -(-steps // block)
+    e, back = np.unique(np.abs(energies).ravel(), return_inverse=True)
     # composing costs about the same per step at any energy count, and
     # each doubling of ``fused`` saves a few operations per step and
     # energy: the largest power of two at most an eighth of the energies
-    fused = min(_FUSED, 1 << max(0, (energies.size // 8).bit_length() - 1))
-    n_fused = -(-block // fused)
+    fused = min(_FUSED, 1 << max(0, (e.size // 8).bit_length() - 1))
+    groups = -(-steps // fused)
+    n_blocks = max(1, min(_BLOCK_ELEMENTS // max(e.size, 1), groups))
+    n_fused = -(-groups // n_blocks)
+    n_blocks = -(-groups // n_fused)
+    block = n_fused * fused
 
     # 24 times one step's coefficients: c0, c2, c4 of each diagonal entry,
     # c1, c3 of each off-diagonal one (module docstring)
     s0, sm, s1 = s_node[:-1], s_half, s_node[1:]
-    p, q, eta, delta = h * (s0 + s1), h * h * s0 * s1, h * sm, h * (s0 - s1)
+    h2 = h * h
+    p, q, eta, delta = h * (s0 + s1), h2 * s0 * s1, h * sm, h * (s0 - s1)
     mu = eta * eta
     even, odd = q * mu + 4.0 * eta * p + 4.0 * mu, 2.0 * p * mu + 4.0 * p + 16.0 * eta
-    h4 = np.full(steps, h**4)
     by_step = np.zeros((4, 3, n_blocks * block))
-    by_step[0, :, :steps] = even + odd, -h * h * (q + mu + 12.0 + 2.0 * p), h4
-    by_step[1, :, :steps] = even - odd, -h * h * (q + mu + 12.0 - 2.0 * p), h4
-    by_step[2, :2, :steps] = h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0), -h**3 * (delta - 4.0)
-    by_step[3, :2, :steps] = h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0), -h**3 * (delta + 4.0)
+    by_step[0, :, :steps] = even + odd, -h2 * (q + mu + 12.0 + 2.0 * p), h2 * h2
+    by_step[1, :, :steps] = even - odd, -h2 * (q + mu + 12.0 - 2.0 * p), h2 * h2
+    by_step[2, :2, :steps] = h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0), -h2 * h * (delta - 4.0)
+    by_step[3, :2, :steps] = h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0), -h2 * h * (delta + 4.0)
     # (entry, coefficient, position in group, group), groups block-major
-    f = np.zeros((4, 3, n_blocks, n_fused * fused))
-    f[..., :block] = by_step.reshape(4, 3, n_blocks, block) / 24.0
-    f = np.ascontiguousarray(f.reshape(4, 3, -1, fused).transpose(0, 1, 3, 2))
+    by_step /= 24.0
+    f = np.ascontiguousarray(by_step.reshape(4, 3, -1, fused).transpose(0, 1, 3, 2))
     while f.shape[2] > 1:
         f = _fuse_pairs(f)
-    # (power, fused step, entry, block): diagonal entries in t^j,
-    # off-diagonal ones in E t^j
-    f = f.reshape(4, 2 * fused + 1, n_blocks, n_fused).transpose(1, 3, 0, 2)
-    diagonal = np.ascontiguousarray(f[:, :, :2])
-    off_diagonal = np.ascontiguousarray(f[:-1, :, 2:])
+    n_powers = 2 * fused + 1
+    f = f.reshape(4, n_powers, n_blocks, n_fused)
+    # to the frame T^-1 P T: E P12 = t Q12 takes Q12's coefficients one
+    # power up (its last is zero), P21 / E = Q21 keeps them
+    f[2] = np.roll(f[2], 1, axis=0)
+    # (fused step, entry, block, power), entries 11, 12, 21, 22
+    coefficients = np.ascontiguousarray(f[[0, 2, 3, 1]].transpose(3, 0, 2, 1))
+    powers = (e * e) ** np.arange(n_powers)[:, None]
 
-    e, back = np.unique(np.abs(energies).ravel(), return_inverse=True)
-    powers = (e * e)[:, None, None] ** np.arange(2 * fused + 1)
-    odd_powers = e[:, None, None] * powers[:, :, :-1]
-
-    x11, x12, x21, x22, t1, t2, t3 = np.zeros((7, e.size, n_blocks))
+    x = np.zeros((2, 2, n_blocks, e.size))
+    px, term = np.empty((2,) + x.shape)
+    slabs = np.empty((_CHUNK,) + x.shape)
     for start in range(0, n_fused, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n_fused))
-        # (energies, 1, powers) @ (powers, fused steps x 2 entries x blocks),
-        # then one contiguous (energies, blocks) slab per fused step and entry
-        pd = np.matmul(powers, diagonal[:, rows].reshape(2 * fused + 1, -1))
-        po = np.matmul(odd_powers, off_diagonal[:, rows].reshape(2 * fused, -1))
-        shape = (e.size, rows.stop - start, 2, n_blocks)
-        pd = np.ascontiguousarray(pd.reshape(shape).transpose(1, 2, 0, 3))
-        po = np.ascontiguousarray(po.reshape(shape).transpose(1, 2, 0, 3))
-        for (p11, p22), (p12, p21) in zip(pd, po):
-            # X <- (X + P) + P X, one column of X at a time
-            for xa, xb, pa, pb in ((x11, x21, p11, p21), (x12, x22, p12, p22)):
-                np.multiply(p11, xa, out=t1)
-                np.multiply(p12, xb, out=t2)
-                np.add(t1, t2, out=t1)
-                np.multiply(p21, xa, out=t3)
-                np.multiply(p22, xb, out=t2)
-                np.add(t3, t2, out=t3)
-                np.add(xa, pa, out=xa)
-                np.add(xa, t1, out=xa)
-                np.add(xb, pb, out=xb)
-                np.add(xb, t3, out=xb)
-    product = _ordered_product(x11.T, x12.T, x21.T, x22.T)
-    x11, x12, x21, x22 = (x[back].reshape(energies.shape) for x in product)
+        rows = coefficients[start:start + _CHUNK].reshape(-1, n_powers)
+        chunk = slabs[:min(_CHUNK, n_fused - start)]
+        # (fused steps x entries x blocks, powers) @ (powers, energies)
+        np.matmul(rows, powers, out=chunk.reshape(len(rows), e.size))
+        for step in chunk:
+            # X <- (X + P) + P X, (PX)ij = Pi1 X1j + Pi2 X2j
+            np.multiply(step[:, :1], x[:1], out=px)
+            np.multiply(step[:, 1:], x[1:], out=term)
+            px += term
+            x += step
+            x += px
+    (x11, x12), (x21, x22) = _ordered_product(x)
+    # back from T^-1 X T, whose X12 is E X12: at E = 0 it is exactly 0,
+    # and so is X12
+    x12 = np.divide(x12, e, out=np.zeros_like(x12), where=e > 0.0)
+    x21 = x21 * e
+    x11, x12, x21, x22 = (x[back].reshape(energies.shape) for x in (x11, x12, x21, x22))
     sign = np.where(energies < 0, -1.0, 1.0)
     return 1.0 + x11, sign * x12, sign * x21, 1.0 + x22
 
 
-def _ordered_product(x11, x12, x21, x22):
+def _ordered_product(x):
     """X with I + X = (I + X[n-1]) ... (I + X[1]) (I + X[0]), for
-    deviations from the identity stacked along axis 0.
+    deviations from the identity stacked along axis 2 of ``x``, shaped
+    (2, 2, n, ...) like the matrices.
 
     Pairs are reduced level by level, (I + B)(I + A) = I + (A + B + BA);
     an odd last matrix is carried up one level.
     """
-    while len(x11) > 1:
-        n = len(x11) // 2 * 2
-        a11, a12, a21, a22 = x11[0:n:2], x12[0:n:2], x21[0:n:2], x22[0:n:2]
-        b11, b12, b21, b22 = x11[1:n:2], x12[1:n:2], x21[1:n:2], x22[1:n:2]
-        pairs = (
-            a11 + b11 + (b11 * a11 + b12 * a21),
-            a12 + b12 + (b11 * a12 + b12 * a22),
-            a21 + b21 + (b21 * a11 + b22 * a21),
-            a22 + b22 + (b21 * a12 + b22 * a22),
-        )
-        x11, x12, x21, x22 = (
-            np.concatenate((p, entry[n:])) for p, entry in zip(pairs, (x11, x12, x21, x22))
-        )
-    return x11[0], x12[0], x21[0], x22[0]
+    while x.shape[2] > 1:
+        n = x.shape[2] // 2 * 2
+        a, b = x[:, :, 0:n:2], x[:, :, 1:n:2]
+        # (BA)ij = Bi1 A1j + Bi2 A2j
+        pairs = a + b + (b[:, :1] * a[:1] + b[:, 1:] * a[1:])
+        x = np.concatenate((pairs, x[:, :, n:]), axis=2) if n < x.shape[2] else pairs
+    return x[:, :, 0]
 
 
 def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
@@ -250,11 +277,36 @@ def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
         )
 
 
-def _trace(potential: Callable, m: float, energies: np.ndarray, a: float, steps: int) -> np.ndarray:
-    """tr M over [-a, a] at ``steps`` steps, after the det-drift check."""
-    m11, m12, m21, m22 = _propagate(potential, m, energies, -a, 2.0 * a, steps)
-    _check_drift(m11, m12, m21, m22, energies, steps)
+def _trace(potential: Callable, m: float, energies: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """tr M over the nodes ``xs``, after the det-drift check."""
+    m11, m12, m21, m22 = _propagate(potential, m, energies, xs)
+    _check_drift(m11, m12, m21, m22, energies, xs.size - 1)
     return m11 + m22
+
+
+def first_steps(potential: Callable, m: float, energies, a: float, knots=None) -> int:
+    """The first step count ``lyapunov_numeric_many`` takes when it is
+    given none: the smallest count, on the knots and at least
+    DEFAULT_STEPS, whose longest step h has h * omega <= FIRST_STEP_SCALE,
+    omega = max(max |E|, max |m + S|), within MAX_STEPS.
+
+    With n intervals between knots each takes ceil(DEFAULT_STEPS / n)
+    * 2**k equal steps, so without knots the count is DEFAULT_STEPS * 2**k.
+    m + S is sampled at the nodes of the smallest such count, which for a
+    table linear between its knots finds its largest value exactly.
+    """
+    edges = _breakpoints(a, knots)
+    n = edges.size - 1
+    substeps = -(-DEFAULT_STEPS // n)
+    omega = max(
+        float(np.abs(np.asarray(energies, dtype=float)).max(initial=0.0)),
+        float(np.abs(m + potential(_nodes(edges, substeps))).max()),
+    )
+    widest = float(np.diff(edges).max())
+    # a NaN omega stops at once, an infinite one at the cap
+    while widest * omega > FIRST_STEP_SCALE * substeps and 2 * n * substeps <= MAX_STEPS:
+        substeps *= 2
+    return n * substeps
 
 
 def lyapunov_numeric_many(
@@ -262,39 +314,51 @@ def lyapunov_numeric_many(
     m: float,
     energies,
     a: float,
-    steps: int = DEFAULT_STEPS,
+    steps: int | None = None,
+    knots=None,
 ) -> np.ndarray:
     """Discriminant tr M over [-a, a] at every energy; ``potential`` maps
     an x array to S(x).
 
-    ``steps`` is the first step count.  The count doubles while
+    ``knots`` are the x values where ``potential`` may bend, such as the
+    rows of a table it interpolates linearly: the steps then cut every
+    interval between knots inside [-a, a] equally, the same number of
+    steps in each.
+
+    ``steps`` is the first step count; omitted, it follows the cell and
+    the energies (``first_steps``), and given, it is rounded up to a
+    multiple of the intervals between knots.  The count doubles while
     |D_N - D_2N| / max(1, |D_2N|), between the last two counts, exceeds
     ERROR_TARGET at any energy and the doubled count is within MAX_STEPS;
     every energy is integrated at every count.  Returns D at the last
-    count: from DEFAULT_STEPS that is 4000 to MAX_STEPS, and a first count
-    above MAX_STEPS / 2 is the only one.
+    count; a first count above MAX_STEPS / 2 is the only one.
 
     det M is checked at every count.  Where it drifts from 1 by more than
     DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2) the step is too coarse
     for this potential and energy: below the cap the count doubles, and at
     the last count StepCountTooSmall is raised.
     """
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
     e = np.asarray(energies, dtype=float)
+    if steps is None:
+        steps = first_steps(potential, m, e, a, knots)
+    elif steps < 100:
+        raise ValueError(f"steps must be >= 100, got {steps}")
+    edges = _breakpoints(a, knots)
+    n = edges.size - 1
+    substeps = -(-steps // n)
     coarse = None
     # where h|E| is too large for RK4 the entries overflow to inf or NaN;
     # the drift check turns that into a refinement or StepCountTooSmall,
     # not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            last = 2 * steps > MAX_STEPS
+            last = 2 * n * substeps > MAX_STEPS
             try:
-                fine = _trace(potential, m, e, a, steps)
+                fine = _trace(potential, m, e, _nodes(edges, substeps))
             except StepCountTooSmall:
                 if last:
                     raise
-                coarse, steps = None, 2 * steps
+                coarse, substeps = None, 2 * substeps
                 continue
             if last:
                 return fine
@@ -302,4 +366,4 @@ def lyapunov_numeric_many(
                 error = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
                 if not np.any(error > ERROR_TARGET):
                     return fine
-            coarse, steps = fine, 2 * steps
+            coarse, substeps = fine, 2 * substeps

@@ -199,6 +199,32 @@ class TestLyapunovCommand:
         assert [r[2] for r in rows] == [
             "evanescent", "evanescent", "limit", "propagating", "propagating"]
 
+    def test_comments_before_the_header(self, tmp_path, canonical):
+        xs = np.linspace(-1.0, 1.0, 401)
+        rows = "\n".join(f"{x:.17g},{s:.17g}" for x, s in zip(xs, potential_s1(canonical, xs)))
+        (tmp_path / "plain.csv").write_text(rows + "\n", encoding="utf-8")
+        (tmp_path / "commented.csv").write_text("# a soliton\n\nx,S # columns\n" + rows, encoding="utf-8")
+        args = ["lyapunov", "--emax", "4", "--samples", "9", "--potential-file"]
+        plain = run(args + [str(tmp_path / "plain.csv")], tmp_path, "a.csv")
+        commented = run(args + [str(tmp_path / "commented.csv")], tmp_path, "b.csv")
+        assert plain[0] == 0 and plain == commented
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "x,s\n", "# only a comment\n", "-1.0\n0.0\n1.0\n"])
+    def test_potential_file_without_two_columns_rejected(self, tmp_path, text, capsys):
+        table = tmp_path / "empty.csv"
+        table.write_text(text, encoding="utf-8")
+        code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
+        assert code == 1
+        assert "must have two numeric columns" in capsys.readouterr().err
+
+    def test_non_numeric_cell_rejected(self, tmp_path, capsys):
+        table = tmp_path / "cell.csv"
+        table.write_text("x,s\n-1.0,0.0\n0.0,abc\n1.0,0.0\n", encoding="utf-8")
+        code, _ = run(["lyapunov", "--potential-file", str(table)], tmp_path)
+        assert code == 1
+        assert "is not a two-column table" in capsys.readouterr().err
+
     def test_ragged_potential_file_rejected(self, tmp_path):
         table = tmp_path / "ragged.csv"
         table.write_text("x,s\n-1.0,0.0\n0.0,0.0,5.0\n1.0,0.0\n", encoding="utf-8")
@@ -224,8 +250,8 @@ class TestBandsCommand:
         assert neg == pos
 
     def test_verify_at_high_energy(self, tmp_path):
-        # the oracle's first count drifts at these edges, and doubling
-        # refines it; the fixed 20000-step oracle answered them too
+        # the oracle's first count follows |E| up to 100 (8000 steps), so no
+        # count drifts; the fixed 20000-step oracle answered them too
         code, text = run(["bands", "--verify", "--emax", "100"], tmp_path, "b.json")
         assert code == 0
         residuals = [v["residual"] for v in json.loads(text)["data"]["verification"]]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from diracband import (
     ModelParams,
+    cli,
     StepCountTooSmall,
     band_edges,
     lyapunov_many,
@@ -12,7 +14,9 @@ from diracband import (
     monodromy,
     periodized_potential,
 )
+from diracband.bands import energy_grid
 from diracband.soliton import fold_into_cell
+from diracband.spinor import det_drift
 from diracband.verify import check_oracle_equivalence
 
 A = 1.0
@@ -24,14 +28,22 @@ def trace_at(potential, m, energy, steps):
     return float(lyapunov_numeric_many(potential, m, np.array([energy]), A, steps)[0])
 
 
-def stepwise_propagate(potential, m, energies, x0, period, steps):
-    """The RK4 recurrence one step at a time over the whole period: the
+def grid(x0, period, steps):
+    """``steps`` equal steps from x0 over one period."""
+    return x0 + period / steps * np.arange(steps + 1)
+
+
+def propagate(potential, m, energies, steps, x0=-A):
+    """The oracle's fundamental matrix over one period at a fixed count."""
+    return monodromy._propagate(potential, m, energies, grid(x0, 2 * A, steps))
+
+
+def stepwise_propagate(potential, m, energies, xs):
+    """The RK4 recurrence one step at a time between the nodes ``xs``: the
     reference the blocked product in ``monodromy._propagate`` regroups."""
     e = np.asarray(energies, dtype=float)
-    h = period / steps
-    xs = x0 + h * np.arange(steps + 1)
     s_node = m + potential(xs)
-    s_half = m + potential(xs[:-1] + 0.5 * h)
+    s_half = m + potential(0.5 * (xs[:-1] + xs[1:]))
 
     m11 = np.ones_like(e)
     m12 = np.zeros_like(e)
@@ -46,8 +58,9 @@ def stepwise_propagate(potential, m, energies, x0, period, steps):
             e * a12 - s * a22,
         )
 
-    hh = 0.5 * h
-    for i in range(steps):
+    for i in range(len(xs) - 1):
+        h = xs[i + 1] - xs[i]
+        hh = 0.5 * h
         s0, sm, s1 = s_node[i], s_half[i], s_node[i + 1]
         k1 = rate(s0, m11, m12, m21, m22)
         k2 = rate(sm, m11 + hh * k1[0], m12 + hh * k1[1], m21 + hh * k1[2], m22 + hh * k1[3])
@@ -61,11 +74,11 @@ def stepwise_propagate(potential, m, energies, x0, period, steps):
     return m11, m12, m21, m22
 
 
-def square_well(params):
+def square_well(params, rows=401, depth=1.2, width=0.5):
     """A tabulated well, interpolated as ``--potential-file`` does: the
-    jumps at x = +-a/2 are one table interval wide."""
-    xs = np.linspace(-params.half_period, params.half_period, 401)
-    ss = np.where(np.abs(xs) < 0.5 * params.half_period, -1.2, 0.0)
+    jumps at x = +-width a are one table interval wide."""
+    xs = np.linspace(-params.half_period, params.half_period, rows)
+    ss = np.where(np.abs(xs) < width * params.half_period, -depth, 0.0)
     return lambda x: np.interp(fold_into_cell(params, x), xs, ss)
 
 
@@ -89,14 +102,14 @@ class TestMonodromyInvariants:
     def test_determinant_conserved(self, canonical):
         pot = periodized_potential(canonical)
         es = np.random.default_rng(12).uniform(-8, 8, 20)
-        m11, m12, m21, m22 = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
+        m11, m12, m21, m22 = propagate(pot, canonical.mass, es, 2000)
         assert np.all(np.abs(m11 * m22 - m12 * m21 - 1.0) < 1e-8)
 
     def test_trace_invariant_under_start_shift(self, canonical):
         pot = periodized_potential(canonical)
 
         def trace_from(x0):
-            m11, _, _, m22 = monodromy._propagate(pot, canonical.mass, np.array([3.3]), x0, 2 * A, 4000)
+            m11, _, _, m22 = propagate(pot, canonical.mass, np.array([3.3]), 4000, x0)
             return float(m11[0] + m22[0])
 
         assert abs(trace_from(-A) - trace_from(0.0)) < 1e-8
@@ -113,7 +126,7 @@ class TestMonodromyInvariants:
         pot = periodized_potential(canonical)
 
         def fixed_trace(steps):
-            m11, _, _, m22 = monodromy._propagate(pot, canonical.mass, np.array([5.1]), -A, 2 * A, steps)
+            m11, _, _, m22 = propagate(pot, canonical.mass, np.array([5.1]), steps)
             return float(m11[0] + m22[0])
 
         ref = fixed_trace(2**16)
@@ -155,12 +168,18 @@ class TestBlockedProduct:
     def test_matches_stepwise_loop(self, canonical, profile, n_energies, steps):
         pot = periodized_potential(canonical) if profile == "soliton" else square_well(canonical)
         es = np.random.default_rng(n_energies).uniform(-8.0, 8.0, n_energies)
-        self.assert_matches_stepwise_loop(pot, canonical.mass, es, steps)
+        self.assert_matches_stepwise_loop(pot, canonical.mass, es, grid(-A, 2 * A, steps))
+
+    def test_matches_stepwise_loop_on_uneven_steps(self, canonical):
+        # steps of different lengths, as on a table with uneven rows
+        xs = np.sort(np.r_[-A, A, np.random.default_rng(5).uniform(-A, A, 300)])
+        es = np.random.default_rng(6).uniform(-8.0, 8.0, 70)
+        self.assert_matches_stepwise_loop(square_well(canonical), canonical.mass, es, xs)
 
     def test_matches_stepwise_loop_at_high_energies(self, canonical):
         # wider energies give the step's E^2 and E^4 terms more weight
         es = np.random.default_rng(30).uniform(-30.0, 30.0, 40)
-        self.assert_matches_stepwise_loop(periodized_potential(canonical), canonical.mass, es, 20000)
+        self.assert_matches_stepwise_loop(periodized_potential(canonical), canonical.mass, es, grid(-A, 2 * A, 20000))
 
     @pytest.mark.parametrize("profile", ["soliton", "square-well"])
     def test_mirrors_and_repeats_are_exact(self, canonical, profile):
@@ -168,7 +187,7 @@ class TestBlockedProduct:
         # E and -E share one integration: m11, m22 equal, m12, m21 negated
         pot = periodized_potential(canonical) if profile == "soliton" else square_well(canonical)
         es = np.array([[0.0, 1.7, 3.3, -1.7, 7.9, 2.0], [-3.3, -0.0, 3.3, -7.9, 1.7, -2.0]])
-        entries = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
+        entries = propagate(pot, canonical.mass, es, 2000)
         assert all(entry.shape == es.shape for entry in entries)
         m11, m12, m21, m22 = (entry.ravel() for entry in entries)
         flat = es.ravel()
@@ -176,11 +195,14 @@ class TestBlockedProduct:
         same = np.abs(flat)[:, None] == np.abs(flat)[None, :]
         for entry in (m11, m22, sign * m12, sign * m21):
             assert np.all((entry[:, None] == entry[None, :])[same])
-        # blocks and fused steps follow the requested energy count, not the
-        # distinct one, and each energy's step polynomials are evaluated on
-        # their own, so the other energies of a call of the same size
-        # (mirrors, repeats, random neighbours) leave an energy's bits as
-        # they would be without them; 64 energies fuse eight steps, 12 none
+        # a repeated call returns the same bits
+        again = propagate(pot, canonical.mass, es, 2000)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, entries))
+        # every distinct |E| goes through one matrix product with the others,
+        # so the other energies of a call (mirrors, repeats, random
+        # neighbours; 12 and 64 fuse no steps and eight) may move an
+        # energy's last bits, by at most 1e-14 of max(1, |D|)
+        d = m11[1] + m22[1]
         rng = np.random.default_rng(7)
         for size in (flat.size, 64):
             mirrored = np.resize(flat, size)
@@ -189,21 +211,13 @@ class TestBlockedProduct:
             neighbour_sets += [rng.uniform(-8.0, 8.0, size) for _ in range(4)]
             for others in neighbour_sets:
                 others[1] = flat[1]
-            bits = {
-                b"".join(entry[1].tobytes() for entry in monodromy._propagate(
-                    pot, canonical.mass, others, -A, 2 * A, 2000))
-                for others in neighbour_sets
-            }
-            assert len(bits) == 1
-            if size == flat.size:
-                assert bits == {b"".join(x[1].tobytes() for x in (m11, m12, m21, m22))}
-        again = monodromy._propagate(pot, canonical.mass, es, -A, 2 * A, 2000)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, entries))
-        self.assert_matches_stepwise_loop(pot, canonical.mass, flat, 2000)
+                n11, _, _, n22 = propagate(pot, canonical.mass, others, 2000)
+                assert abs(n11[1] + n22[1] - d) <= 1e-14 * max(1.0, abs(d))
+        self.assert_matches_stepwise_loop(pot, canonical.mass, flat, grid(-A, 2 * A, 2000))
 
     @staticmethod
-    def assert_matches_stepwise_loop(pot, m, es, steps):
-        args = (pot, m, es, -A, 2 * A, steps)
+    def assert_matches_stepwise_loop(pot, m, es, xs):
+        args = (pot, m, es, xs)
         b11, b12, b21, b22 = monodromy._propagate(*args)
         r11, r12, r21, r22 = stepwise_propagate(*args)
         trace_ref = r11 + r22
@@ -229,17 +243,23 @@ class TestBlockedProduct:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """(steps, tr M) of every ``_propagate`` call, in call order."""
+    """(steps, tr M, largest det drift) of every ``_propagate`` call, in
+    call order."""
     calls = []
     propagate = monodromy._propagate
 
-    def recording(potential, m, energies, x0, period, steps):
-        entries = propagate(potential, m, energies, x0, period, steps)
-        calls.append((steps, entries[0] + entries[3]))
+    def recording(potential, m, energies, xs):
+        entries = propagate(potential, m, energies, xs)
+        drift = det_drift(*entries)
+        calls.append((len(xs) - 1, entries[0] + entries[3], drift.max(initial=0.0)))
         return entries
 
     monkeypatch.setattr(monodromy, "_propagate", recording)
     return calls
+
+
+def counts(passes):
+    return [steps for steps, _, _ in passes]
 
 
 #: a deep cell (gamma a ~ 11) whose bound-state band, 1.8e-8 wide around
@@ -250,13 +270,37 @@ DEEP_EDGE = 1.8288094398343047
 
 class TestStepDoubling:
     def test_canonical_set_stops_at_the_first_pair(self, canonical, passes):
+        # |E| <= 8 at a = 1: 2 a omega / 0.025 = 640, so 1000 steps first
         pot = periodized_potential(canonical)
-        assert check_oracle_equivalence(canonical).passed
-        assert [steps for steps, _ in passes] == [2000, 4000]
+        result = check_oracle_equivalence(canonical)
+        assert result.passed and "doubled from 1000 until" in result.detail
+        assert counts(passes) == [1000, 2000]
         passes.clear()
         edges = np.array(band_edges(canonical, e_max=7.0).edges)
         lyapunov_numeric_many(pot, canonical.mass, edges, A)
-        assert [steps for steps, _ in passes] == [2000, 4000]
+        assert counts(passes) == [1000, 2000]
+
+    def test_first_count_follows_the_cell(self, canonical):
+        pot = periodized_potential(canonical)
+        # omega is the largest of |E| and |m + S|: here m = 2 at the cell's ends
+        # and 2 a omega / N <= 0.025 at N = 250 * 2**k
+        assert monodromy.first_steps(pot, canonical.mass, [0.5], A) == 250
+        assert monodromy.first_steps(pot, canonical.mass, [3.1], A) == 250
+        assert monodromy.first_steps(pot, canonical.mass, [-3.2], A) == 500
+        assert monodromy.first_steps(pot, canonical.mass, [6.3, 1.0], A) == 1000
+        assert monodromy.first_steps(pot, canonical.mass, [100.0], A) == 8000
+        # beyond the cap the cap is the first and only count
+        assert monodromy.first_steps(pot, canonical.mass, [1e5], A) == monodromy.MAX_STEPS
+        assert monodromy.first_steps(pot, canonical.mass, [np.inf], A) == monodromy.MAX_STEPS
+        assert isinstance(monodromy.DEFAULT_STEPS, int)
+        # on knots every interval takes the same number of steps, from
+        # ceil(250 / intervals): 3 * 2 for 100 intervals, 25 * 4 for 10
+        xs = np.linspace(-A, A, 101)
+        assert monodromy.first_steps(pot, canonical.mass, [7.0], A, knots=xs) == 600
+        assert monodromy.first_steps(pot, canonical.mass, [7.0], A, knots=xs[::10]) == 1000
+        # knots outside the cell, and repeated ones, cut nothing
+        wide = np.r_[xs, xs, np.linspace(1.5, 3.0, 50)]
+        assert monodromy.first_steps(pot, canonical.mass, [7.0], A, knots=wide) == 600
 
     def test_deep_cell_escalates_to_the_cap(self, passes):
         # the band's lower edge; at its upper edge the closed form itself
@@ -264,42 +308,54 @@ class TestStepDoubling:
         edges = band_edges(DEEP, e_max=3.0).edges
         assert DEEP_EDGE in edges
         d = lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, np.array([DEEP_EDGE]), DEEP.half_period)
-        assert [steps for steps, _ in passes] == [2000, 4000, 8000, 16000, 32000]
+        assert counts(passes) == [1000, 2000, 4000, 8000, 16000, 32000]
         assert abs(d[0] - lyapunov_many(DEEP, [DEEP_EDGE])[0]) < 1e-5
 
     def test_cap_is_respected_without_raising(self, passes, monkeypatch):
         monkeypatch.setattr(monodromy, "MAX_STEPS", 12000)
         e = np.array([DEEP_EDGE])
         d = lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, e, DEEP.half_period)
-        assert [steps for steps, _ in passes] == [2000, 4000, 8000]
+        assert counts(passes) == [1000, 2000, 4000, 8000]
         # unresolved at the cap, and D at the last count is returned
-        (_, coarse), (_, fine) = passes[-2:]
+        (_, coarse, _), (_, fine, _) = passes[-2:]
         assert abs(fine - coarse)[0] > monodromy.ERROR_TARGET
         assert d[0] == fine[0]
         # a first count above half the cap is the only count
         passes.clear()
         lyapunov_numeric_many(periodized_potential(DEEP), DEEP.mass, e, DEEP.half_period, steps=7000)
-        assert [steps for steps, _ in passes] == [7000]
+        assert counts(passes) == [7000]
 
     def test_drift_below_the_cap_is_refined(self, canonical, passes):
         pot = periodized_potential(canonical)
         d = lyapunov_numeric_many(pot, canonical.mass, np.array([7.9]), A, steps=100)
-        assert [steps for steps, _ in passes] == [100, 200, 400, 800]
+        assert counts(passes) == [100, 200, 400, 800]
         assert abs(d[0] - lyapunov_many(canonical, [7.9])[0]) < 1e-7
 
     def test_high_energy_is_answered(self, canonical, passes):
-        # h|E| = 0.1 at the first count: det M drifts by 2.8e-5 there, and
-        # the fixed 20000-step oracle answered this energy
+        # h|E| = 0.1 at 2000 steps drifts det M by 2.8e-5; the first count
+        # from the cell, 8000, does not drift, and the fixed 20000-step
+        # oracle answered this energy
         pot = periodized_potential(canonical)
         d = lyapunov_numeric_many(pot, canonical.mass, np.array([100.0]), A)
-        assert [steps for steps, _ in passes][-1] == monodromy.MAX_STEPS
+        assert counts(passes)[0] == 8000
+        assert max(drift for _, _, drift in passes) <= monodromy.DET_DRIFT_LIMIT
         assert abs(d[0] - lyapunov_many(canonical, [100.0])[0]) < 1e-7
+
+    def test_wide_verified_table_integrates_no_drifting_count(self, canonical, passes, tmp_path):
+        # bands --verify --emax 100: 127 edges, from 8000 steps on; a first
+        # count of 2000 would drift and be thrown away
+        out = tmp_path / "bands.json"
+        assert cli.main(["bands", "--emax", "100", "--verify", "--out", str(out)]) == 0
+        assert counts(passes) == [8000, 16000]
+        assert max(drift for _, _, drift in passes) <= monodromy.DET_DRIFT_LIMIT
+        rows = json.loads(out.read_text())["data"]["verification"]
+        assert max(row["residual"] for row in rows) < 1e-6
 
     def test_drift_at_the_last_count_raises(self, canonical, passes, monkeypatch):
         monkeypatch.setattr(monodromy, "MAX_STEPS", 100)
         with pytest.raises(StepCountTooSmall, match=TestGuards.DRIFT_MESSAGE):
             lyapunov_numeric_many(periodized_potential(canonical), canonical.mass, np.array([7.9]), A, steps=100)
-        assert [steps for steps, _ in passes] == [100]
+        assert counts(passes) == [100]
 
     def test_estimate_bounds_the_error(self, passes):
         # 64 sets drawn as the benchmark's oracle sets are (m in [0.5, 5],
@@ -315,11 +371,49 @@ class TestStepDoubling:
             passes.clear()
             d = lyapunov_numeric_many(periodized_potential(params), params.mass, es, params.half_period)
             closed = lyapunov_many(params, es)
-            (_, coarse), (_, fine) = passes[-2:]
+            (_, coarse, _), (_, fine, _) = passes[-2:]
             scale = np.maximum(1.0, np.abs(closed))
             error = np.abs(d - closed) / scale
             estimate = np.abs(fine - coarse) / scale
             assert np.all(error <= estimate + 1e-12), params
+
+
+#: the square well of bench seed 4's oracle units, tabulated on 100 rows
+WELL = ModelParams(mass=3.4876502155052194, gamma=0.6002621723114197, half_period=1.9610570536646195)
+
+
+class TestKnots:
+    """Steps on a table's rows: each interval between rows is cut into
+    equal steps, so RK4 meets one linear piece per step."""
+
+    @staticmethod
+    def table(params, rows):
+        xs = np.linspace(-params.half_period, params.half_period, rows)
+        return square_well(params, rows, depth=3.0025291432956935, width=0.6529142791486509), xs
+
+    def test_uneven_table_is_resolved(self, passes):
+        # uniform steps across the 99 rows' kinks lose RK4's order: from 2000
+        # steps the oracle returned D 5.9e-7 off though its estimate passed
+        pot, xs = self.table(WELL, 100)
+        es = energy_grid(-(WELL.mass + 5.0), WELL.mass + 5.0, 701)
+        d = lyapunov_numeric_many(pot, WELL.mass, es, WELL.half_period, knots=xs)
+        assert counts(passes) == [2376, 4752]
+        reference = lyapunov_numeric_many(pot, WELL.mass, es, WELL.half_period, steps=400 * 99, knots=xs)
+        assert np.all(np.abs(d - reference) <= 1e-7 * np.maximum(1.0, np.abs(reference)))
+
+    def test_table_of_257_rows_stops_early(self, canonical, passes):
+        # uniform steps ran 2000 to 32000 steps on this table
+        pot, xs = self.table(canonical, 257)
+        lyapunov_numeric_many(pot, canonical.mass, energy_grid(-7.0, 7.0, 701), A, knots=xs)
+        assert len(passes) <= 3 and counts(passes)[-1] <= 4096
+
+    def test_given_count_is_rounded_up_to_the_rows(self, canonical, passes):
+        pot, xs = self.table(canonical, 101)
+        lyapunov_numeric_many(pot, canonical.mass, np.array([3.0]), A, steps=1000, knots=xs)
+        assert counts(passes)[0] == 1000
+        passes.clear()
+        lyapunov_numeric_many(pot, canonical.mass, np.array([3.0]), A, steps=1001, knots=xs)
+        assert counts(passes)[0] == 1100
 
 
 class TestGuards:

@@ -192,7 +192,7 @@ class TestBasisSpinors:
     def test_matches_oracle_transfer_matrix(self, canonical):
         es = np.array(ORACLE_ENERGIES)
         m11, m12, m21, m22 = _propagate(
-            periodized_potential(canonical), canonical.mass, es, -1.0, 2.0, 20000
+            periodized_potential(canonical), canonical.mass, es, np.linspace(-1.0, 1.0, 20001)
         )
         for i, e in enumerate(es):
             oracle = np.array([[m11[i], m12[i]], [m21[i], m22[i]]])
