@@ -6,9 +6,9 @@ import pytest
 
 from diracband import (
     ModelParams,
-    cli,
     StepCountTooSmall,
     band_edges,
+    cli,
     lyapunov_many,
     lyapunov_numeric_many,
     monodromy,
@@ -392,8 +392,8 @@ class TestKnots:
         return square_well(params, rows, depth=3.0025291432956935, width=0.6529142791486509), xs
 
     def test_uneven_table_is_resolved(self, passes):
-        # uniform steps across the 99 rows' kinks lose RK4's order: from 2000
-        # steps the oracle returned D 5.9e-7 off though its estimate passed
+        # uniform steps across the kinks of the 99 intervals lose RK4's
+        # order: 2000 to 32000 uniform steps returned D 5.9e-7 off
         pot, xs = self.table(WELL, 100)
         es = energy_grid(-(WELL.mass + 5.0), WELL.mass + 5.0, 701)
         d = lyapunov_numeric_many(pot, WELL.mass, es, WELL.half_period, knots=xs)
