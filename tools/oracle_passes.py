@@ -74,7 +74,8 @@ def main(argv=None) -> int:
                 # verify prints its summary to stdout
                 with contextlib.redirect_stdout(io.StringIO()):
                     cli.main([*call, "--out", os.path.join(tmp, "artifact")])
-                print("\n".join(lines))
+                for line in lines:
+                    print(line)
                 lines.clear()
     return 0
 
