@@ -35,7 +35,11 @@ def map_solution(params: ModelParams, field: Callable, x):
     The result solves the transformed problem at psi's energy (up to
     normalization); applying L to the seed spinor itself annihilates it.
     """
-    psi, dpsi = field(x)
+    return _intertwine(params, *field(x), x)
+
+
+def _intertwine(params: ModelParams, psi, dpsi, x):
+    """L psi from the values psi and psi' at x."""
     return dpsi - np.array(w_functions(params, x)) * psi
 
 
@@ -45,7 +49,8 @@ def intertwining_check(params: ModelParams, field: Callable, x, h: float = 1e-4)
     Holds operator-wise, so psi may be any smooth field, not only a
     solution.  h0 is the free Hamiltonian and h1 has the potential
     transformed_potential.  Outer derivatives are central differences of
-    step h; psi and psi' come from the field.
+    step h; psi and psi' come from one call of the field, on the rows
+    x + h, x - h and x.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -55,7 +60,7 @@ def intertwining_check(params: ModelParams, field: Callable, x, h: float = 1e-4)
     y = np.stack([x + h, x - h, x])
     psi, dpsi = field(y)
     h0_psi = np.array([dpsi[1] + m * psi[1], -dpsi[0] + m * psi[0]])
-    l_psi = map_solution(params, field, y)
+    l_psi = _intertwine(params, psi, dpsi, y)
 
     w = np.array(w_functions(params, x))
     lhs = (h0_psi[:, 0] - h0_psi[:, 1]) / (2 * h) - w * h0_psi[:, 2]

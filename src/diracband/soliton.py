@@ -146,23 +146,26 @@ def free_pair(q, x):
     return c, s
 
 
-def _guard_energy(params: ModelParams, energy: float) -> None:
-    if abs(energy * energy - params.lam**2) < DEGENERATE_EPS:
+def _guard_energy(params: ModelParams, energy: np.ndarray) -> None:
+    degenerate = np.abs(energy * energy - params.lam**2) < DEGENERATE_EPS
+    if degenerate.any():
         raise DegenerateEnergy(
-            f"E={energy} too close to the bound-state energies +-{params.lam}; "
-            "U(x; E) has a removable pole there"
+            f"E={float(energy[degenerate][0])} too close to the bound-state energies "
+            f"+-{params.lam}; U(x; E) has a removable pole there"
         )
 
 
-def basis_spinors(params: ModelParams, energy: float, x):
+def basis_spinors(params: ModelParams, energy, x):
     """The columns (psi, phi) of U(x; E) = Phi(x) Phi(0)^-1, the solutions
     with psi(0) = (1, 0) and phi(0) = (0, 1); W(psi, phi) = det U = 1.
 
-    Each column is an array of the two components, shaped (2,) + shape(x).
-    Raises DegenerateEnergy within DEGENERATE_EPS of |E| = lam.
+    The energy may be an array that broadcasts against x, and each column
+    is an array of the two components, shaped (2,) + that broadcast shape;
+    every element has the bits of its own scalar call.  Raises
+    DegenerateEnergy if any energy lies within DEGENERATE_EPS of |E| = lam.
     """
-    _guard_energy(params, energy)
-    m, e = params.mass, energy
+    m, e = params.mass, np.asarray(energy, dtype=float)
+    _guard_energy(params, e)
     q = e * e - m * m
     x = np.asarray(x, dtype=float)
     c, s = free_pair(q, x)

@@ -36,12 +36,18 @@ def hamiltonian_residual(
     solution: Callable,
     potential: Callable,
     m: float,
-    energy: float,
+    energy,
     x,
     h: float = 1e-4,
 ):
     """Norm of (h - E) applied to the solution at each x, with a
-    central-difference derivative of step h; shaped like x.
+    central-difference derivative of step h; shaped like x broadcast
+    against the energy.
+
+    The solution is called once, on y = the rows x + h, x - h and x,
+    shaped (3,) + shape(x).  The energy may be an array of no more
+    dimensions than x: then the solution is a stack of solutions, one per
+    energy, and its values at y are shaped (2, 3) + the broadcast shape.
 
     For an exact solution at the right energy the result is O(h^2); a
     wrong energy or potential shows up at O(1).
@@ -49,7 +55,8 @@ def hamiltonian_residual(
     if h <= 0:
         raise ValueError("step h must be positive")
     x = np.asarray(x, dtype=float)
-    fp, fm, f0 = solution(x + h), solution(x - h), solution(x)
+    f = np.asarray(solution(np.stack([x + h, x - h, x])))
+    fp, fm, f0 = f[:, 0], f[:, 1], f[:, 2]
     d1 = (fp[0] - fm[0]) / (2 * h)
     d2 = (fp[1] - fm[1]) / (2 * h)
     s = m + potential(x)

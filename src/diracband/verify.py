@@ -53,15 +53,13 @@ def _canonical(params: soliton.ModelParams) -> bool:
 def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
     """det U = 1 over a 20 x 20 grid of (E, x) covering both regimes,
     scaled by max(1, max|U_ij|^2), the rounding scale of a 2 x 2
-    determinant (det_drift)."""
-    xs = np.linspace(-2.2, 2.2, 20)
-    drift = []
-    for e in WRONSKIAN_ENERGIES:
-        for energy in (e, -e):
-            (u11, u21), (u12, u22) = soliton.basis_spinors(params, energy, xs)
-            drift.append(det_drift(u11, u12, u21, u22))
+    determinant (det_drift); one call, energies down and x across."""
+    e = np.array(WRONSKIAN_ENERGIES)
+    energies = np.concatenate([e, -e])[:, None]
+    (u11, u21), (u12, u22) = soliton.basis_spinors(params, energies, np.linspace(-2.2, 2.2, 20))
     return CheckResult.from_measure(
-        "wronskian-unity", float(np.max(drift)), 1e-10, "20x20 (E, x) grid, scaled by max(1, |U|^2)"
+        "wronskian-unity", float(np.max(det_drift(u11, u12, u21, u22))), 1e-10,
+        "20x20 (E, x) grid, scaled by max(1, |U|^2)",
     )
 
 
@@ -72,9 +70,8 @@ def check_evenness(params: soliton.ModelParams) -> CheckResult:
     lam = params.lam
     special = [params.mass, lam, lam * (1 + 1e-6), lam * (1 - 1e-6)]
     es = np.concatenate([rng.uniform(0.05, 8.0, 50), special])
-    diff = np.abs(
-        bands.lyapunov_many(params, es) - bands.lyapunov_many(params, -es)
-    )
+    d = bands.lyapunov_many(params, np.concatenate([es, -es]))
+    diff = np.abs(d[: es.size] - d[es.size:])
     return CheckResult.from_measure(
         "lyapunov-evenness", float(diff.max()), 1e-10, "50 random E, |E| = m and near |E| = lam"
     )
@@ -83,17 +80,20 @@ def check_evenness(params: soliton.ModelParams) -> CheckResult:
 def check_solution_residuals(params: soliton.ModelParams) -> list[CheckResult]:
     """The columns of U at E = 3 and the bound-state spinors satisfy the
     transformed problem, with second-order convergence of the
-    finite-difference residual."""
+    finite-difference residual.  The four solutions are stacked along
+    axis -2 of x, one row each, so each step h is one residual call."""
     pot = soliton.soliton_potential(params)
-    solutions = [
-        (lambda x: soliton.basis_spinors(params, 3.0, x)[0], 3.0),
-        (lambda x: soliton.basis_spinors(params, 3.0, x)[1], 3.0),
-        (lambda x: soliton.bound_states(params, x)[0], params.lam),
-        (lambda x: soliton.bound_states(params, x)[1], -params.lam),
-    ]
-    xs = np.array([0.3, -0.7, 1.1])
-    r1 = np.array([hamiltonian_residual(f, pot, params.mass, e, xs, h=1e-4) for f, e in solutions])
-    r2 = np.array([hamiltonian_residual(f, pot, params.mass, e, xs, h=5e-5) for f, e in solutions])
+    lam = params.lam
+    energies = np.array([[3.0], [3.0], [lam], [-lam]])
+
+    def solutions(x):
+        return np.concatenate(
+            [*soliton.basis_spinors(params, 3.0, x), *soliton.bound_states(params, x)], axis=-2
+        )
+
+    xs = np.array([[0.3, -0.7, 1.1]])
+    r1 = hamiltonian_residual(solutions, pot, params.mass, energies, xs, h=1e-4)
+    r2 = hamiltonian_residual(solutions, pot, params.mass, energies, xs, h=5e-5)
     ratios = r1[r2 > 0] / r2[r2 > 0]
     off = np.max(np.abs(ratios - 4.0))
     return [
@@ -104,30 +104,32 @@ def check_solution_residuals(params: soliton.ModelParams) -> list[CheckResult]:
     ]
 
 
-def _random_smooth_field(seed: int):
-    """A finite Fourier sum as the field x -> (psi, psi'); not a solution."""
-    rng = np.random.default_rng(seed)
-    freqs = rng.uniform(0.3, 2.5, 3)
-    ca = rng.normal(size=(2, 3))
-    cb = rng.normal(size=(2, 3))
+def _random_smooth_fields(seeds):
+    """Finite Fourier sums as fields x -> (psi, psi'), not solutions: one
+    per seed, each on its own index of axis -2 of x."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = [(r.uniform(0.3, 2.5, 3), r.normal(size=(2, 3)), r.normal(size=(2, 3))) for r in rngs]
+    freqs, ca, cb = (np.array(d) for d in zip(*draws))
+    k = freqs[:, :, None]
 
-    def field(x):
-        k = freqs.reshape((3,) + (1,) * np.ndim(x))
-        c, s = np.cos(k * x), np.sin(k * x)
-        return (
-            np.tensordot(ca, c, axes=1) + np.tensordot(cb, s, axes=1),
-            np.tensordot(cb, k * c, axes=1) - np.tensordot(ca, k * s, axes=1),
-        )
+    def fields(x):
+        # (fields, 1, points) against (fields, 3, 1) frequencies; the
+        # batched products keep the bits of one 2 x 3 product per field,
+        # where np.einsum would not
+        moved = np.moveaxis(x, -2, 0)
+        kx = k * moved.reshape(len(draws), 1, -1)
+        c, s = np.cos(kx), np.sin(kx)
+        pair = (ca @ c + cb @ s, cb @ (k * c) - ca @ (k * s))
+        return tuple(np.moveaxis(v.reshape((len(draws), 2) + moved.shape[1:]), 0, -2) for v in pair)
 
-    return field
+    return fields
 
 
 def check_intertwining(params: soliton.ModelParams) -> CheckResult:
-    xs = np.array([0.12, -0.8, 1.4])
-    worst = max(
-        np.max(darboux.intertwining_check(params, _random_smooth_field(i), xs, h=1e-4))
-        for i in range(10)
-    )
+    """(L h0 - h1 L) psi = 0 for 10 random smooth fields, one row of x each,
+    in one call."""
+    xs = np.tile([0.12, -0.8, 1.4], (10, 1))
+    worst = np.max(darboux.intertwining_check(params, _random_smooth_fields(range(10)), xs, h=1e-4))
     return CheckResult.from_measure("intertwining", worst, 1e-5, "10 random smooth fields")
 
 

@@ -7,9 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracband import ModelParams, basis_spinors, lyapunov_many
+from diracband import (
+    ModelParams,
+    basis_spinors,
+    bound_states,
+    intertwining_check,
+    lyapunov_many,
+    soliton_potential,
+)
 from diracband.bands import ZOOM_WAYS
 from diracband.soliton import free_pair, w_functions
+from diracband.spinor import det_drift
+from diracband.verify import SEED, WRONSKIAN_ENERGIES, CheckResult
 
 # the benchmark's modules, for tests of its inputs and of its tracer
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -124,3 +133,90 @@ def reference_refine(params: ModelParams, lo, hi, dlo, dhi):
     inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, ZOOM_WAYS) / ZOOM_WAYS)
     d_inner = reference_lyapunov_many(params, inner.ravel()).reshape(inner.shape)
     return np.column_stack([lo, inner, hi]), np.column_stack([dlo, d_inner, dhi])
+
+
+# The verify checks as written before each became one array call: one call
+# per energy, per solution or per field.  The library's checks must return
+# equal CheckResults, residual bits included.
+
+
+def reference_wronskian_unity(params: ModelParams) -> CheckResult:
+    xs = np.linspace(-2.2, 2.2, 20)
+    drift = []
+    for e in WRONSKIAN_ENERGIES:
+        for energy in (e, -e):
+            (u11, u21), (u12, u22) = basis_spinors(params, energy, xs)
+            drift.append(det_drift(u11, u12, u21, u22))
+    return CheckResult.from_measure(
+        "wronskian-unity", float(np.max(drift)), 1e-10, "20x20 (E, x) grid, scaled by max(1, |U|^2)"
+    )
+
+
+def reference_evenness(params: ModelParams) -> CheckResult:
+    rng = np.random.default_rng(SEED)
+    lam = params.lam
+    special = [params.mass, lam, lam * (1 + 1e-6), lam * (1 - 1e-6)]
+    es = np.concatenate([rng.uniform(0.05, 8.0, 50), special])
+    diff = np.abs(lyapunov_many(params, es) - lyapunov_many(params, -es))
+    return CheckResult.from_measure(
+        "lyapunov-evenness", float(diff.max()), 1e-10, "50 random E, |E| = m and near |E| = lam"
+    )
+
+
+def reference_hamiltonian_residual(solution, potential, m, energy, x, h):
+    """spinor.hamiltonian_residual with one solution call per row."""
+    x = np.asarray(x, dtype=float)
+    fp, fm, f0 = solution(x + h), solution(x - h), solution(x)
+    d1 = (fp[0] - fm[0]) / (2 * h)
+    d2 = (fp[1] - fm[1]) / (2 * h)
+    s = m + potential(x)
+    r1 = d2 + s * f0[1] - energy * f0[0]
+    r2 = -d1 + s * f0[0] - energy * f0[1]
+    return np.hypot(r1, r2)
+
+
+def reference_solution_residuals(params: ModelParams) -> list[CheckResult]:
+    pot = soliton_potential(params)
+    solutions = [
+        (lambda x: basis_spinors(params, 3.0, x)[0], 3.0),
+        (lambda x: basis_spinors(params, 3.0, x)[1], 3.0),
+        (lambda x: bound_states(params, x)[0], params.lam),
+        (lambda x: bound_states(params, x)[1], -params.lam),
+    ]
+    xs = np.array([0.3, -0.7, 1.1])
+    r1 = np.array([reference_hamiltonian_residual(f, pot, params.mass, e, xs, 1e-4) for f, e in solutions])
+    r2 = np.array([reference_hamiltonian_residual(f, pot, params.mass, e, xs, 5e-5) for f, e in solutions])
+    ratios = r1[r2 > 0] / r2[r2 > 0]
+    off = np.max(np.abs(ratios - 4.0))
+    return [
+        CheckResult.from_measure("dirac-residual", np.max(r1), 1e-6, "basis + bound states, h=1e-4"),
+        CheckResult.from_measure(
+            "residual-order", off, 0.5, f"h -> h/2 ratios within {ratios.min():.3f}..{ratios.max():.3f}"
+        ),
+    ]
+
+
+def random_smooth_field(seed: int):
+    """A finite Fourier sum as the field x -> (psi, psi'); not a solution."""
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.3, 2.5, 3)
+    ca = rng.normal(size=(2, 3))
+    cb = rng.normal(size=(2, 3))
+
+    def field(x):
+        k = freqs.reshape((3,) + (1,) * np.ndim(x))
+        c, s = np.cos(k * x), np.sin(k * x)
+        return (
+            np.tensordot(ca, c, axes=1) + np.tensordot(cb, s, axes=1),
+            np.tensordot(cb, k * c, axes=1) - np.tensordot(ca, k * s, axes=1),
+        )
+
+    return field
+
+
+def reference_intertwining(params: ModelParams) -> CheckResult:
+    xs = np.array([0.12, -0.8, 1.4])
+    worst = max(
+        np.max(intertwining_check(params, random_smooth_field(i), xs, h=1e-4)) for i in range(10)
+    )
+    return CheckResult.from_measure("intertwining", worst, 1e-5, "10 random smooth fields")

@@ -189,6 +189,24 @@ class TestBasisSpinors:
             assert np.array_equal(psi.reshape(2, -1)[:, i], p1)
             assert np.array_equal(phi.reshape(2, -1)[:, i], f1)
 
+    def test_energy_grid_matches_per_energy_calls(self, canonical):
+        # |E| < lam, lam < |E| < m and |E| > m, with E = 0 and E = +-m
+        energies = np.array([0.0, 0.3, -0.9, 1.5, -1.7, 2.0, -2.0, 3.0, -4.8])
+        xs = np.linspace(-2.2, 2.2, 7)
+        psi, phi = basis_spinors(canonical, energies[:, None], xs)
+        assert psi.shape == phi.shape == (2, energies.size, xs.size)
+        for i, e in enumerate(energies):
+            p1, f1 = basis_spinors(canonical, float(e), xs)
+            assert psi[:, i].tobytes() == p1.tobytes(), e
+            assert phi[:, i].tobytes() == f1.tobytes(), e
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_degenerate_energy_in_array_raises(self, canonical, sign):
+        bad = sign * (canonical.lam + 1e-12)
+        energies = np.array([[0.5], [3.0], [bad], [-2.5]])
+        with pytest.raises(DegenerateEnergy, match=f"E={bad!r} "):
+            basis_spinors(canonical, energies, np.array([0.1, 0.4]))
+
     def test_matches_oracle_transfer_matrix(self, canonical):
         es = np.array(ORACLE_ENERGIES)
         m11, m12, m21, m22 = _propagate(

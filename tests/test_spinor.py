@@ -69,6 +69,19 @@ class TestHamiltonianResidual:
             for x, rx in zip(xs.ravel(), r.ravel()):
                 assert hamiltonian_residual(solution, pot, canonical.mass, energy, float(x)) == rx
 
+    def test_energy_array_matches_per_energy_calls(self, canonical):
+        # U's first column at four energies, stacked down axis -2 of x
+        energies = np.array([[0.4], [1.5], [3.0], [-4.2]])
+        xs = np.array([[0.3, -0.7, 1.1]])
+        pot = soliton_potential(canonical)
+        stacked = lambda x: basis_spinors(canonical, energies, x)[0]
+        r = hamiltonian_residual(stacked, pot, canonical.mass, energies, xs, h=1e-4)
+        assert r.shape == (4, 3)
+        for row, e in zip(r, energies[:, 0]):
+            one = hamiltonian_residual(basis_column(canonical, float(e), 0), pot, canonical.mass,
+                                       float(e), xs[0], h=1e-4)
+            assert row.tobytes() == one.tobytes(), e
+
 
 class TestFloquetMultipliers:
     def test_band_edge_double_root(self):

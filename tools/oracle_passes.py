@@ -7,8 +7,9 @@ Runs ``diracband.cli.main`` in process on the first ``--units`` oracle units
 of a seed (``bench/inputs.py``): ``verify``, ``bands --verify`` and the
 tabulated ``lyapunov --potential-file`` trace, as the benchmark does.  For
 each call of ``monodromy.lyapunov_numeric_many`` it prints one line: the
-unit, the command, the energy count, the distinct |E|, the step count of
-every pass and the call's milliseconds.  BLAS runs on one thread, as in the
+unit, the command, the energy count, the distinct |E|, the call's
+milliseconds and minor page faults (``getrusage``'s ``ru_minflt``) and the
+step count of every pass.  BLAS runs on one thread, as in the
 benchmark.  ``--src`` picks the package sources, so the schedules of two
 checkouts can be set side by side.
 """
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import io
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -48,17 +50,19 @@ def main(argv=None) -> int:
 
     def timed(potential, m, energies, *rest, **kwargs):
         passes.clear()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         try:
             return oracle(potential, m, energies, *rest, **kwargs)
         finally:
             ms = 1e3 * (time.perf_counter() - start)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             e = np.asarray(energies, dtype=float)
             lines.append(f"{unit:4d} {command:<14} {e.size:8d} {np.unique(np.abs(e)).size:8d} "
-                         f"{ms:9.2f}  {','.join(map(str, passes))}")
+                         f"{ms:9.2f} {faults:7d}  {','.join(map(str, passes))}")
 
     monodromy._propagate, monodromy.lyapunov_numeric_many = counting, timed
-    print(f"{'unit':>4} {'command':<14} {'energies':>8} {'distinct':>8} {'ms':>9}  steps")
+    print(f"{'unit':>4} {'command':<14} {'energies':>8} {'distinct':>8} {'ms':>9} {'minflt':>7}  steps")
     with tempfile.TemporaryDirectory() as tmp:
         for unit, (p, profile) in enumerate(make_inputs(args.seed, tmp)["oracle"][:args.units]):
             q = profile.params
