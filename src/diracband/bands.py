@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAllowedBand
-from .soliton import DEGENERATE_EPS, ModelParams, free_pair, w_functions
+from .errors import DiracBandError, NotAllowedBand
+from .soliton import DEGENERATE_EPS, ModelParams, free_pair
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,7 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     """Vectorized discriminant D(E), real and even in E; defined at every
     real energy (see the module docstring for the formula)."""
     m, g, a = params.mass, params.gamma, params.half_period
-    # the per-model constants, computed once per call as Python floats
-    w1, w2 = (float(w) for w in w_functions(params, a))
-    alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
-    beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
-    two_a, two_w = 2.0 * a, 2.0 * (w1 + w2)
+    alpha, beta, two_a, two_w = params.discriminant
     e = np.asarray(energies, dtype=float)
     q = e * e - m * m
     c, s = free_pair(q, two_a)
@@ -104,7 +100,7 @@ def lyapunov(params: ModelParams, energy: float) -> float:
 
 
 def regimes(params: ModelParams, energies) -> list[str]:
-    """"limit" within DEGENERATE_EPS of |E| = m, the boundary between
+    """"limit" where |E^2 - m^2| < DEGENERATE_EPS, the boundary between
     "evanescent" (|E| < m) and "propagating" (|E| > m), for every energy."""
     e = np.asarray(energies, dtype=float)
     m = params.mass
@@ -127,16 +123,29 @@ def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
     return es
 
 
+def _finite_lyapunov(params: ModelParams, es: np.ndarray) -> np.ndarray:
+    """lyapunov_many, or DiracBandError at the first energy where D is not
+    finite: cosh(2a kap) overflows once 2a kap passes about 709."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = lyapunov_many(params, es)
+    bad = np.flatnonzero(~np.isfinite(ds))
+    if bad.size:
+        raise DiracBandError(f"D is not finite at E={float(es[bad[0]])}: cosh(2a kappa) "
+                             f"overflows at half-period {params.half_period}")
+    return ds
+
+
 def lyapunov_trace(
     params: ModelParams, e_min: float, e_max: float, samples: int
 ) -> list[tuple[float, float, str]]:
-    """Evenly sampled (E, D, regime) rows; see regimes for the labels."""
+    """Evenly sampled (E, D, regime) rows; see regimes for the labels.
+    Raises DiracBandError where D is not finite."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     es = energy_grid(e_min, e_max, samples)
-    ds = lyapunov_many(params, es)
+    ds = _finite_lyapunov(params, es)
     return list(zip(es.tolist(), ds.tolist(), regimes(params, es)))
 
 
@@ -234,7 +243,7 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     and is mirrored, so the table is exactly E -> -E symmetric.
 
     Raises ValueError when the scan would sample more than MAX_SCAN_POINTS
-    energies.
+    energies, and DiracBandError where D is not finite on the scan.
     """
     if e_max <= 0:
         raise ValueError("e_max must be positive")
@@ -243,7 +252,7 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     check_scan_window(params, e_max)
     step = _scan_step(params)
     xs = step * np.arange(int(e_max / step) + 3)
-    ds = lyapunov_many(params, xs)
+    ds = _finite_lyapunov(params, xs)
 
     # E = 0 is a critical point with D(0) = 2 cosh(...) >= 2, since D is even;
     # every other one lies within a cell of a discrete extremum
@@ -260,14 +269,14 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     which, k = np.nonzero(above[:, :-1] != above[:, 1:])
     roots = _zoom_crossings(params, xs[k], xs[k + 1], ds[k], ds[k + 1], lines[which])
 
-    pos = tuple(float(r) for r in np.sort(roots) if 0.0 < r <= e_max)
+    pos = tuple(r for r in np.sort(roots).tolist() if 0.0 < r <= e_max)
     edges = tuple(-r for r in reversed(pos)) + pos
-    bounds = np.array((-e_max,) + edges + (e_max,))
+    bounds = np.array((-e_max,) + edges + (e_max,), dtype=float)
     lo, hi = bounds[:-1], bounds[1:]
     allowed = np.abs(lyapunov_many(params, 0.5 * (lo + hi))) < 2.0
     bands = tuple(
-        Band(float(l), float(h), "allowed" if ok else "forbidden")
-        for l, h, ok in zip(lo, hi, allowed)
+        Band(l, h, "allowed" if ok else "forbidden")
+        for l, h, ok in zip(lo.tolist(), hi.tolist(), allowed.tolist())
         if h > l
     )
     return BandTable(params, edges, bands, e_max, tol)
@@ -307,4 +316,4 @@ def dispersion(params: ModelParams, band, n: int) -> list[tuple[float, float]]:
     half = np.where(np.abs(np.abs(half) - 1.0) <= 1e-9, np.sign(half), half)
     a = params.half_period
     ks = np.arccos(half) / (2.0 * a)
-    return [(float(e), float(k)) for e, k in zip(es, ks)]
+    return list(zip(es.tolist(), ks.tolist()))

@@ -78,20 +78,21 @@ def _write_text(path: str, text: str) -> None:
         raise DiracBandError(f"cannot write artifact to '{path}': {exc}") from exc
 
 
-def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data) -> None:
-    """Write a command's data to --out: row records (a list of dicts, one
-    key per column) as CSV or JSON, a document (a dict) as JSON.  Floats
-    in rows are written at 12 significant digits; a document is written
-    as given."""
+def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data: dict) -> None:
+    """Write a command's data to --out: columns (a dict of equal-length
+    sequences, in column order) as CSV lines or JSON rows, the document of
+    a JSON-only command as JSON.  Floats in columns are written at 12
+    significant digits; a document is written as given."""
     if args.output_format == "csv":
-        # one format per row, typed from the first: "%.12g" % v is f"{v:.12g}"
-        row_format = ",".join("%.12g" if isinstance(v, float) else "%s" for v in data[0].values())
-        lines = [",".join(data[0])]
-        lines.extend(row_format % tuple(row.values()) for row in data)
+        # one format per column, typed from its first value: "%.12g" % v is f"{v:.12g}"
+        row_format = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in data.values())
+        lines = [",".join(data)]
+        lines.extend(map(row_format.__mod__, zip(*data.values())))
         _write_text(args.out, "\n".join(lines) + "\n")
         return
-    if isinstance(data, list):
-        data = [{k: _round12(v) if isinstance(v, float) else v for k, v in row.items()} for row in data]
+    if args.command not in JSON_ONLY:  # columns: one object per row
+        columns = [list(map(_round12, c)) if isinstance(c[0], float) else c for c in data.values()]
+        data = [dict(zip(data, row)) for row in zip(*columns)]
     doc = {
         "params": {
             "mass": _round12(params.mass),
@@ -105,12 +106,12 @@ def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data)
     _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_potential(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+def cmd_potential(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     """Periodized potential profile over three periods, columns `x,s1`."""
     a = params.half_period
     xs = np.linspace(-3.0 * a, 3.0 * a, args.samples)
     values = soliton.potential_s1(params, soliton.fold_into_cell(params, xs))
-    return [{"x": float(x), "s1": float(s)} for x, s in zip(xs, values)]
+    return {"x": xs.tolist(), "s1": values.tolist()}
 
 
 def _tabulated_potential(path: str, params: soliton.ModelParams):
@@ -156,17 +157,17 @@ def _tabulated_potential(path: str, params: soliton.ModelParams):
     return (lambda x: np.interp(soliton.fold_into_cell(params, x), xs, ss)), xs
 
 
-def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     """Discriminant trace, columns `e,d,regime`."""
     if args.potential_file is not None:
         pot, knots = _tabulated_potential(args.potential_file, params)
         es = bands.energy_grid(args.e_min, args.e_max, args.samples)
         # steps on the table's rows: RK4 meets one linear piece per step
         ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period, knots=knots)
-        rows = zip(es.tolist(), ds.tolist(), bands.regimes(params, es))
+        columns = es.tolist(), ds.tolist(), bands.regimes(params, es)
     else:
-        rows = bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples)
-    return [{"e": e, "d": d, "regime": r} for e, d, r in rows]
+        columns = zip(*bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples))
+    return dict(zip(("e", "d", "regime"), columns))
 
 
 def _band_table(args: argparse.Namespace, params: soliton.ModelParams) -> bands.BandTable:
@@ -190,11 +191,8 @@ def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     # edge of a narrow band by 1e-5.  e_max too, since the last band's
     # e_hi equals it and a band ending below e_max reads as complete
     data = {
-        "edges": [float(e) for e in edges],
-        "bands": [
-            {"e_lo": float(b.e_lo), "e_hi": float(b.e_hi), "kind": b.kind}
-            for b in bands_out
-        ],
+        "edges": edges,
+        "bands": [{"e_lo": b.e_lo, "e_hi": b.e_hi, "kind": b.kind} for b in bands_out],
         "e_max": float(table.e_max),
         "tol": _round12(table.tol),
     }
@@ -215,7 +213,7 @@ def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     return data
 
 
-def cmd_dispersion(args: argparse.Namespace, params: soliton.ModelParams) -> list[dict]:
+def cmd_dispersion(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
     """Dispersion samples for one allowed band, columns `k,e`.
 
     Bands are indexed over the allowed bands with e_lo >= 0, in
@@ -228,8 +226,8 @@ def cmd_dispersion(args: argparse.Namespace, params: soliton.ModelParams) -> lis
             f"--band-index {args.band_index} out of range; table has {len(allowed)} "
             "positive allowed bands"
         )
-    points = bands.dispersion(params, allowed[args.band_index], args.samples)
-    return [{"k": k, "e": e} for e, k in points]
+    es, ks = zip(*bands.dispersion(params, allowed[args.band_index], args.samples))
+    return {"k": ks, "e": es}
 
 
 def cmd_verify(args: argparse.Namespace, params: soliton.ModelParams) -> dict:

@@ -27,7 +27,7 @@ solution that starts along the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class ModelParams:
     gamma: float
     half_period: float
     alpha_override: float | None = None
+    #: the discriminant's alpha, beta, 2a and 2(w1(a) + w2(a)) (bands), as Python floats
+    discriminant: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_positive_finite("mass", self.mass)
@@ -65,6 +67,11 @@ class ModelParams:
                 f"gamma must lie in (0, mass), got gamma={self.gamma}, mass={self.mass}"
             )
         _check_positive_finite("half_period", self.half_period)
+        m, g, a = self.mass, self.gamma, self.half_period
+        w1, w2 = (float(w) for w in w_functions(self, a))
+        alpha = 2.0 * m * (w1 - w2) - w1 * w1 - w2 * w2 - 2.0 * g * g
+        beta = m * (w2 * w2 - w1 * w1) + 2.0 * (w1 + w2) * g * g
+        object.__setattr__(self, "discriminant", (alpha, beta, 2.0 * a, 2.0 * (w1 + w2)))
 
     @classmethod
     def from_lambda(cls, mass: float, lam: float, half_period: float) -> "ModelParams":

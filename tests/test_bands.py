@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,18 @@ def seeded_sets(seed: int, n: int) -> list[ModelParams]:
 
 
 class TestLyapunov:
+    @pytest.mark.parametrize("override_first", [False, True])
+    def test_constants_follow_alpha_override(self, canonical, override_first):
+        # the model's constants are its own, whichever model is evaluated first
+        es = np.linspace(-7.0, 7.0, 141)
+        params = ModelParams(canonical.mass, canonical.gamma, canonical.half_period)
+        shifted = dataclasses.replace(params, alpha_override=1.1 * params.alpha)
+        first, second = (shifted, params) if override_first else (params, shifted)
+        d_first, d_second = lyapunov_many(first, es), lyapunov_many(second, es)
+        assert not np.array_equal(d_first, d_second)
+        assert np.array_equal(d_first, reference_lyapunov_many(first, es))
+        assert np.array_equal(d_second, reference_lyapunov_many(second, es))
+
     def test_even_function(self, canonical):
         rng = np.random.default_rng(21)
         lam, m = canonical.lam, canonical.mass

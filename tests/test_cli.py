@@ -142,7 +142,8 @@ class TestLyapunovCommand:
         )
         args = cli.build_parser().parse_args(
             ["lyapunov", "--potential-file", str(table), "--emin", "-7", "--emax", "7"])
-        rows = cli.cmd_lyapunov(args, canonical)
+        columns = cli.cmd_lyapunov(args, canonical)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         es = np.array([row["e"] for row in rows])
         ds = np.array([row["d"] for row in rows])
         assert len(rows) == 701 and np.array_equal(es, -es[::-1])
@@ -432,6 +433,17 @@ class TestValidation:
     def test_non_finite_rejected(self, flag, value):
         assert cli.main(["bands", flag, value]) == 1
 
+    @pytest.mark.parametrize("command,window", [
+        ("bands", ["--emin", "0", "--emax", "2.5"]), ("lyapunov", ["--emin", "0", "--emax", "1"]),
+    ])
+    def test_wide_cell_is_a_computation_error(self, tmp_path, command, window, capsys):
+        # 2a kappa passes 709 at E = 0: cosh overflows, and D would read NaN
+        path = tmp_path / "out"
+        code = cli.main([command, "--mass", "2", "--gamma", "1.5", "--half-period", "300",
+                         *window, "--out", str(path)])
+        assert code == 2 and not path.exists()
+        assert "D is not finite at E=0.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bands", "dispersion"])
     def test_oversize_energy_window(self, command, capsys):
         # finite, so it passes the window check, but its edge scan is too large
@@ -536,7 +548,7 @@ def test_csv_bytes_locked(tmp_path, canonical):
     rows = [{"e": v, "d": -v / 7.0, "regime": r} for v, r in zip(values, regimes)]
     path = tmp_path / "rows.csv"
     args = argparse.Namespace(output_format="csv", out=str(path), command="lyapunov")
-    cli._write_artifact(args, canonical, rows)
+    cli._write_artifact(args, canonical, {k: [row[k] for row in rows] for k in rows[0]})
     lines = path.read_bytes().decode("utf-8").split("\n")
     expected = [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values())
                 for row in rows]
@@ -544,3 +556,27 @@ def test_csv_bytes_locked(tmp_path, canonical):
     assert [line.split(",")[0] for line in lines[1:-1]] == [
         "-0", "1e-05", "1e+16", "123456789012", "1e-300", "0.333333333333", "-2.5", "7"]
     assert lines[1] == "-0,0,evanescent" and lines[2] == "1e-05,-1.42857142857e-06,limit"
+
+
+def test_json_rows_bytes_locked(tmp_path, canonical):
+    # the JSON counterpart on the same values: one object per row, keys
+    # sorted, floats rounded to 12 significant digits, text as given
+    values = [-0.0, 1e-5, 1e16, 123456789012.5, 1e-300, 1.0 / 3.0, -2.5, 7.0]
+    regimes = ["evanescent", "limit", "propagating"] * 3
+    rows = [{"e": v, "d": -v / 7.0, "regime": r} for v, r in zip(values, regimes)]
+    path = tmp_path / "rows.json"
+    args = argparse.Namespace(output_format="json", out=str(path), command="lyapunov")
+    cli._write_artifact(args, canonical, {k: [row[k] for row in rows] for k in rows[0]})
+    text = path.read_bytes().decode("utf-8")
+    expected = {
+        "params": {"mass": 2.0, "gamma": 1.73205080757, "lambda": 1.0, "half_period": 1.0},
+        "data": [{"d": float(f"{-v / 7.0:.12g}"), "e": float(f"{v:.12g}"), "regime": r}
+                 for v, r in zip(values, regimes)],
+        "meta": {"version": cli.__version__, "kind": "lyapunov"},
+    }
+    assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    data = json.loads(text)["data"]
+    assert [row["e"] for row in data] == [
+        -0.0, 1e-05, 1e16, 123456789012.0, 1e-300, 0.333333333333, -2.5, 7.0]
+    assert math.copysign(1.0, data[0]["e"]) == -1.0 and data[1]["d"] == -1.42857142857e-06
+    assert '"e": 123456789012.0' in text and '"e": 1e+16' in text

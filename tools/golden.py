@@ -6,8 +6,9 @@
 Runs ``diracband.cli.main`` in process on the benchmark's seeded inputs
 (``bench/inputs.py``): for each of the first ``--sweep`` sweep sets,
 ``potential``, ``lyapunov``, ``bands`` and ``dispersion`` for every positive
-allowed band; for each of the first ``--oracle`` oracle units, ``verify``,
-``bands --verify`` and the tabulated ``lyapunov --potential-file`` trace.
+allowed band, the row commands both as CSV and as ``--format json``; for
+each of the first ``--oracle`` oracle units, ``verify``, ``bands --verify``
+and the tabulated ``lyapunov --potential-file`` trace.
 Every call leaves its artifact and a ``.log`` file with its exit code,
 stdout and stderr; BLAS runs on one thread, as in the benchmark.
 ``--src`` picks the package sources, so one script writes the set of two
@@ -42,6 +43,10 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out)  # relative paths: messages do not depend on OUT
 
+    def rows(name: str, argv: list[str]) -> None:
+        call(name, argv, ".csv")
+        call(name + "-json", [*argv, "--format", "json"], ".json")
+
     def call(name: str, argv: list[str], ext: str) -> str:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -54,13 +59,13 @@ def main(argv=None) -> int:
     for i, p in enumerate(units["sweep"][:args.sweep]):
         common = p.cli_args()
         window = [*common, "--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
-        call(f"sweep{i:03d}-potential", ["potential", *common], ".csv")
-        call(f"sweep{i:03d}-lyapunov", ["lyapunov", *common, "--emax", repr(p.e_max)], ".csv")
+        rows(f"sweep{i:03d}-potential", ["potential", *common])
+        rows(f"sweep{i:03d}-lyapunov", ["lyapunov", *common, "--emax", repr(p.e_max)])
         table = Path(call(f"sweep{i:03d}-bands", ["bands", *window], ".json"))
-        rows = json.loads(table.read_text())["data"]["bands"] if table.exists() else []
-        for k in range(sum(b["kind"] == "allowed" and b["e_lo"] >= 0 for b in rows)):
-            call(f"sweep{i:03d}-dispersion{k}", ["dispersion", *window, "--band-index", str(k),
-                                                 "--samples", "101"], ".csv")
+        bands = json.loads(table.read_text())["data"]["bands"] if table.exists() else []
+        for k in range(sum(b["kind"] == "allowed" and b["e_lo"] >= 0 for b in bands)):
+            rows(f"sweep{i:03d}-dispersion{k}", ["dispersion", *window, "--band-index", str(k),
+                                                 "--samples", "101"])
     for i, (p, profile) in enumerate(units["oracle"][:args.oracle]):
         window = ["--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
         call(f"oracle{i:03d}-verify", ["verify", *p.cli_args()], ".json")
