@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -68,12 +70,25 @@ def _round12(value: float) -> float:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, or to stdout for '-'.  A file is
+    rewritten in place and then cut to the bytes written, also when a write
+    fails: emptying it first makes ext4 (auto_da_alloc) flush it in close()."""
     if path == "-":
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
+    done = 0
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:
+            try:
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
+                    os.ftruncate(fd, done)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise DiracBandError(f"cannot write artifact to '{path}': {exc}") from exc
 

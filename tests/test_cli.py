@@ -458,9 +458,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="internal"):
             cli.main(["bands"])
 
-    def test_unwritable_output_path(self, tmp_path):
+    def test_unwritable_output_path(self, tmp_path, capsys):
         code = cli.main(["potential", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 2
+        assert "cannot write artifact to" in capsys.readouterr().err
 
     def test_console_script_writes_to_stdout(self):
         exe = shutil.which("diracband")
@@ -580,3 +581,71 @@ def test_json_rows_bytes_locked(tmp_path, canonical):
         -0.0, 1e-05, 1e16, 123456789012.0, 1e-300, 0.333333333333, -2.5, 7.0]
     assert math.copysign(1.0, data[0]["e"]) == -1.0 and data[1]["d"] == -1.42857142857e-06
     assert '"e": 123456789012.0' in text and '"e": 1e+16' in text
+
+
+class TestOverwrite:
+    """--out over an existing file: rewritten in place, then cut to length."""
+
+    @pytest.mark.parametrize("args", [
+        ["potential", "--samples", "21"],
+        ["potential", "--samples", "21", "--format", "json"],
+        ["lyapunov", "--emin", "-3", "--emax", "3", "--samples", "31"],
+        ["lyapunov", "--emin", "-3", "--emax", "3", "--samples", "31", "--format", "json"],
+        ["dispersion", "--band-index", "1", "--samples", "21"],
+        ["dispersion", "--band-index", "1", "--samples", "21", "--format", "json"],
+        ["bands", "--emin", "-4", "--emax", "4"],
+        ["bands", "--emin", "-4", "--emax", "4", "--verify"],
+        ["verify"],
+    ], ids=["potential-csv", "potential-json", "lyapunov-csv", "lyapunov-json", "dispersion-csv",
+            "dispersion-json", "bands", "bands-verify", "verify"])
+    def test_stale_file_gives_fresh_bytes(self, tmp_path, args, capsys):
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        assert cli.main([*args, "--out", str(fresh)]) == 0
+        expected = fresh.read_bytes()
+        for size in (len(expected) + 4099, len(expected) // 2):
+            stale.write_bytes(b"#" * size)
+            assert cli.main([*args, "--out", str(stale)]) == 0
+            assert stale.read_bytes() == expected
+        capsys.readouterr()
+
+    def test_keeps_inode_mode_and_links(self, tmp_path):
+        path, link = tmp_path / "x.csv", tmp_path / "link.csv"
+        path.write_bytes(b"#" * 5000)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = path.stat()
+        assert cli.main(["potential", "--samples", "5", "--out", str(path)]) == 0
+        after = path.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_nlink)
+        assert link.read_bytes() == path.read_bytes()
+        assert path.read_text().startswith("x,s1\n") and len(path.read_text()) < 5000
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "x.csv"
+        assert cli.main(["potential", "--samples", "5", "--out", str(path)]) == 0
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_devnull(self):
+        assert cli.main(["potential", "--samples", "5", "--out", os.devnull]) == 0
+
+    def test_failed_write_leaves_no_stale_tail(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"#" * 100_000)
+        write, calls = os.write, []
+
+        def first_chunk_then_full(fd, data):  # a short write, then the disk is full
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return write(fd, data[:64])
+
+        monkeypatch.setattr(os, "write", first_chunk_then_full)
+        code = cli.main(["potential", "--samples", "21", "--out", str(path)])
+        monkeypatch.undo()
+        assert code == 2 and len(calls) == 2
+        assert "cannot write artifact to" in capsys.readouterr().err
+        _, expected = run(["potential", "--samples", "21"], tmp_path, "fresh.csv")
+        assert path.read_bytes() == expected.encode("utf-8")[:64]
