@@ -16,7 +16,6 @@ from .bands import (
 )
 from .darboux import intertwining_check, map_solution, transformed_potential
 from .errors import (
-    DegenerateEnergy,
     DiracBandError,
     NotAllowedBand,
     StepCountTooSmall,
@@ -37,7 +36,6 @@ __all__ = [
     "__version__",
     "Band",
     "BandTable",
-    "DegenerateEnergy",
     "DiracBandError",
     "ModelParams",
     "NotAllowedBand",

@@ -29,8 +29,8 @@ of the numerator that is polynomial in q gives
 and alpha C + beta S vanishes identically at q = -g^2.  The quotient
 loses about log10(g^2/|q+g^2|) digits to that cancellation, so within
 |q + g^2| < g^2/10 the last term is evaluated as alpha dC + beta dS, the
-divided differences of C and S at q = -g^2, written without
-cancellation through sinh(a(kap -+ g)) and cosh(a(kap + g)).
+divided differences of C and S at q = -g^2 that soliton.pole_differences
+writes without cancellation; basis_spinors splits U's pole with them too.
 """
 from __future__ import annotations
 
@@ -40,7 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiracBandError, NotAllowedBand
-from .soliton import DEGENERATE_EPS, ModelParams, free_pair
+from .soliton import ModelParams, free_pair, pole_differences
+
+#: the trace labels |E^2 - m^2| below this as the regime "limit"
+DEGENERATE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class BandTable:
 def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     """Vectorized discriminant D(E), real and even in E; defined at every
     real energy (see the module docstring for the formula)."""
-    m, g, a = params.mass, params.gamma, params.half_period
+    m, g = params.mass, params.gamma
     alpha, beta, two_a, two_w = params.discriminant
     e = np.asarray(energies, dtype=float)
     q = e * e - m * m
@@ -83,11 +86,7 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     tail = alpha * c + beta * s
     if np.count_nonzero(near):
         np.divide(tail, shifted, out=tail, where=~near)
-        kap = np.sqrt(-q[near])
-        u, v = kap - g, kap + g
-        ratio_u = np.divide(np.sinh(a * u), u, out=np.full_like(u, a), where=u != 0)
-        dc = -2.0 * np.sinh(a * v) / v * ratio_u
-        ds = (np.sinh(two_a * g) - 2.0 * g * np.cosh(a * v) * ratio_u) / (kap * g * v)
+        dc, ds = pole_differences(g, q[near], two_a)
         tail[near] = alpha * dc + beta * ds
     else:
         tail /= shifted

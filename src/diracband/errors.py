@@ -5,11 +5,6 @@ class DiracBandError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateEnergy(DiracBandError):
-    """Energy within DEGENERATE_EPS of |E| = lambda, the removable pole of
-    the closed-form solutions U(x; E); the discriminant is regular there."""
-
-
 class NotAllowedBand(DiracBandError):
     """Dispersion requested on an interval that is not an allowed band."""
 

@@ -20,9 +20,13 @@ exp(A0 x) = C I + S A0 (free_pair), and
     U(x; E) = Phi(x) Phi(0)^-1 = B(x) (C I + S A0) adj B(0) / (q + gamma^2)
 
 since det B(x) = q + gamma^2 at every x (tanh 2 alpha = -gamma/m).  So
-U(0) = I and det U = 1, and U is regular at E = 0 and at |E| = m.  Its
-one removable pole is at |E| = lam, where L annihilates the free
-solution that starts along the seed.
+U(0) = I and det U = 1, and U is regular at every real energy: with
+e^{4 alpha} = (m - gamma)/(m + gamma) the product divides exactly by
+q + gamma^2, so within |q + gamma^2| < gamma^2/10 U is evaluated without
+cancellation as K + B(x) (dC I + dS A0) adj B(0), with dC and dS the
+divided differences of C and S at q = -gamma^2 (pole_differences) and
+
+    K = cosh(gamma x) I + sinh(gamma x)/gamma (B(x) - diag(w1(0), w2(0))).
 """
 from __future__ import annotations
 
@@ -30,12 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DegenerateEnergy
-
-#: |E^2 - lam^2| below this is treated as the removable pole of U; the
-#: discriminant trace labels |E^2 - m^2| below it as the regime "limit"
-DEGENERATE_EPS = 1e-9
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -79,11 +77,11 @@ class ModelParams:
         _check_positive_finite("mass", mass)
         if not 0 < lam < mass:
             raise ValueError(f"lambda must lie in (0, mass), got lam={lam}, mass={mass}")
-        return cls(mass, math.sqrt(mass * mass - lam * lam), half_period)
+        return cls(mass, math.sqrt((mass - lam) * (mass + lam)), half_period)
 
     @property
     def lam(self) -> float:
-        return math.sqrt(self.mass * self.mass - self.gamma * self.gamma)
+        return math.sqrt((self.mass - self.gamma) * (self.mass + self.gamma))
 
     @property
     def alpha(self) -> float:
@@ -153,13 +151,17 @@ def free_pair(q, x):
     return c, s
 
 
-def _guard_energy(params: ModelParams, energy: np.ndarray) -> None:
-    degenerate = np.abs(energy * energy - params.lam**2) < DEGENERATE_EPS
-    if degenerate.any():
-        raise DegenerateEnergy(
-            f"E={float(energy[degenerate][0])} too close to the bound-state energies "
-            f"+-{params.lam}; U(x; E) has a removable pole there"
-        )
+def pole_differences(gamma: float, q, x):
+    """The divided differences dC = (C - cosh(gamma x)) / (q + gamma^2) and
+    dS = (S - sinh(gamma x)/gamma) / (q + gamma^2) of free_pair, for q < 0,
+    written through sinh and cosh of x(kap -+ gamma)/2, kap = sqrt(-q), so
+    that nothing cancels at q = -gamma^2.  q and x broadcast."""
+    kap, h = np.sqrt(-q), 0.5 * x
+    u, v = kap - gamma, kap + gamma
+    ratio_u = np.divide(np.sinh(h * u), u, out=np.full(np.broadcast(h, u).shape, h), where=u != 0)
+    dc = -2.0 * np.sinh(h * v) / v * ratio_u
+    ds = (np.sinh(x * gamma) - 2.0 * gamma * np.cosh(h * v) * ratio_u) / (kap * gamma * v)
+    return dc, ds
 
 
 def basis_spinors(params: ModelParams, energy, x):
@@ -168,17 +170,20 @@ def basis_spinors(params: ModelParams, energy, x):
 
     The energy may be an array that broadcasts against x, and each column
     is an array of the two components, shaped (2,) + that broadcast shape;
-    every element has the bits of its own scalar call.  Raises
-    DegenerateEnergy if any energy lies within DEGENERATE_EPS of |E| = lam.
+    every element has the bits of its own scalar call.  Regular at every
+    real energy, E = +-lam included (see the module docstring).
     """
-    m, e = params.mass, np.asarray(energy, dtype=float)
-    _guard_energy(params, e)
+    m, g, e = params.mass, params.gamma, np.asarray(energy, dtype=float)
     q = e * e - m * m
     x = np.asarray(x, dtype=float)
     c, s = free_pair(q, x)
-    # P = adj B(0) / (q + gamma^2) and A0 P, then F = C P + S A0 P
+    d = q + g**2
+    near = np.abs(d) < 0.1 * g * g
+    if near.any():
+        dc, ds = pole_differences(g, np.where(near, q, -g * g), x)
+        c, s, d = np.where(near, dc, c), np.where(near, ds, s), np.where(near, 1.0, d)
+    # P = adj B(0) / d and A0 P, then F = C P + S A0 P; dC, dS, 1 and K in the window
     v1, v2 = (float(v) for v in w_functions(params, 0.0))
-    d = q + params.gamma**2
     p11, p12, p21, p22 = (-m - v2) / d, e / d, -e / d, (m - v1) / d
     f11 = c * p11 + s * (m * p11 - e * p21)
     f12 = c * p12 + s * (m * p12 - e * p22)
@@ -186,10 +191,12 @@ def basis_spinors(params: ModelParams, energy, x):
     f22 = c * p22 + s * (e * p12 - m * p22)
     w1, w2 = w_functions(params, x)
     b11, b22 = m - w1, -m - w2
-    return (
-        np.array([b11 * f11 - e * f21, e * f11 + b22 * f21]),
-        np.array([b11 * f12 - e * f22, e * f12 + b22 * f22]),
-    )
+    u = [b11 * f11 - e * f21, e * f11 + b22 * f21, b11 * f12 - e * f22, e * f12 + b22 * f22]
+    if near.any():
+        ch, sh = np.cosh(g * x), np.sinh(g * x) / g
+        k = [ch + sh * (b11 - v1), sh * e, -sh * e, ch + sh * (b22 - v2)]
+        u = [np.where(near, ui + ki, ui) for ui, ki in zip(u, k)]
+    return np.array(u[:2]), np.array(u[2:])
 
 
 def _libm_cosh(z: float) -> float:

@@ -51,15 +51,15 @@ def _canonical(params: soliton.ModelParams) -> bool:
 
 
 def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
-    """det U = 1 over a 20 x 20 grid of (E, x) covering both regimes,
-    scaled by max(1, max|U_ij|^2), the rounding scale of a 2 x 2
+    """det U = 1 over a 22 x 20 grid of (E, x) covering both regimes and
+    E = +-lam, scaled by max(1, max|U_ij|^2), the rounding scale of a 2 x 2
     determinant (det_drift); one call, energies down and x across."""
-    e = np.array(WRONSKIAN_ENERGIES)
+    e = np.array(WRONSKIAN_ENERGIES + (params.lam,))
     energies = np.concatenate([e, -e])[:, None]
     (u11, u21), (u12, u22) = soliton.basis_spinors(params, energies, np.linspace(-2.2, 2.2, 20))
     return CheckResult.from_measure(
         "wronskian-unity", float(np.max(det_drift(u11, u12, u21, u22))), 1e-10,
-        "20x20 (E, x) grid, scaled by max(1, |U|^2)",
+        "22x20 (E, x) grid with E = +-lam, scaled by max(1, |U|^2)",
     )
 
 

@@ -143,12 +143,13 @@ def reference_refine(params: ModelParams, lo, hi, dlo, dhi):
 def reference_wronskian_unity(params: ModelParams) -> CheckResult:
     xs = np.linspace(-2.2, 2.2, 20)
     drift = []
-    for e in WRONSKIAN_ENERGIES:
+    for e in WRONSKIAN_ENERGIES + (params.lam,):
         for energy in (e, -e):
             (u11, u21), (u12, u22) = basis_spinors(params, energy, xs)
             drift.append(det_drift(u11, u12, u21, u22))
     return CheckResult.from_measure(
-        "wronskian-unity", float(np.max(drift)), 1e-10, "20x20 (E, x) grid, scaled by max(1, |U|^2)"
+        "wronskian-unity", float(np.max(drift)), 1e-10,
+        "22x20 (E, x) grid with E = +-lam, scaled by max(1, |U|^2)",
     )
 
 

@@ -371,6 +371,16 @@ class TestVerifyCommand:
         assert {"wronskian-unity", "lyapunov-evenness", "dirac-residual",
                 "intertwining", "oracle-equivalence", "band-edge-regression"} <= names
 
+    @pytest.mark.parametrize("model", [
+        ["--mass", "2", "--lambda", "1.42"],  # E = 1.42 of wronskian-unity is +-lam
+        ["--mass", "4", "--lambda", "3"],  # E = 3 of dirac-residual is +-lam
+        ["--mass", "2", "--gamma", "1.9999999"],  # lam = 6.3e-4, cancelling in m^2 - gamma^2
+    ])
+    def test_sets_at_the_fixed_energies_pass(self, tmp_path, capsys, model):
+        code, text = run(["verify", *model], tmp_path, "report.json")
+        assert "FAIL" not in capsys.readouterr().out
+        assert code == 0 and json.loads(text)["data"]["passed"] is True
+
     def test_one_band_table_for_both_table_checks(self, canonical, monkeypatch):
         band_edges_calls = []
         build = cli.verify.bands.band_edges

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import fundamental_matrix
 from diracband import (
-    DegenerateEnergy,
     ModelParams,
     basis_spinors,
     bound_states,
@@ -152,6 +151,9 @@ class TestWFunctions:
 #: energies of the oracle comparisons: E = 0, both mass shells and all
 #: three regimes of the canonical set
 ORACLE_ENERGIES = (0.0, 2.0, -2.0, 0.5, 1.5, 3.0, 6.0)
+#: the canonical lambda as the model computes it, 1 + 2^-52: E^2 - m^2 +
+#: gamma^2 is exactly 0 there, the removable pole of U's product form
+LAM = ModelParams.from_lambda(2.0, 1.0, 1.0).lam
 
 
 def _monodromy(params, energy):
@@ -190,8 +192,8 @@ class TestBasisSpinors:
             assert np.array_equal(phi.reshape(2, -1)[:, i], f1)
 
     def test_energy_grid_matches_per_energy_calls(self, canonical):
-        # |E| < lam, lam < |E| < m and |E| > m, with E = 0 and E = +-m
-        energies = np.array([0.0, 0.3, -0.9, 1.5, -1.7, 2.0, -2.0, 3.0, -4.8])
+        # |E| < lam, lam < |E| < m and |E| > m, with E = 0, E = +-lam and E = +-m
+        energies = np.array([0.0, 0.3, -0.9, LAM, -LAM, 1.5, -1.7, 2.0, -2.0, 3.0, -4.8])
         xs = np.linspace(-2.2, 2.2, 7)
         psi, phi = basis_spinors(canonical, energies[:, None], xs)
         assert psi.shape == phi.shape == (2, energies.size, xs.size)
@@ -199,13 +201,6 @@ class TestBasisSpinors:
             p1, f1 = basis_spinors(canonical, float(e), xs)
             assert psi[:, i].tobytes() == p1.tobytes(), e
             assert phi[:, i].tobytes() == f1.tobytes(), e
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_degenerate_energy_in_array_raises(self, canonical, sign):
-        bad = sign * (canonical.lam + 1e-12)
-        energies = np.array([[0.5], [3.0], [bad], [-2.5]])
-        with pytest.raises(DegenerateEnergy, match=f"E={bad!r} "):
-            basis_spinors(canonical, energies, np.array([0.1, 0.4]))
 
     def test_matches_oracle_transfer_matrix(self, canonical):
         es = np.array(ORACLE_ENERGIES)
@@ -217,7 +212,7 @@ class TestBasisSpinors:
             err = np.abs(_monodromy(canonical, e) - oracle).max()
             assert err <= 1e-12 * max(1.0, np.abs(oracle).max())
 
-    @pytest.mark.parametrize("energy", ORACLE_ENERGIES + (1.0 + 1e-3, 1.0 - 1e-3, -1.0 - 1e-3))
+    @pytest.mark.parametrize("energy", ORACLE_ENERGIES + (LAM, -LAM, 1.0 + 1e-3, 1.0 - 1e-3, -1.0 - 1e-3))
     def test_trace_is_discriminant(self, canonical, energy):
         d = float(lyapunov_many(canonical, [energy])[0])
         assert abs(np.trace(_monodromy(canonical, energy)) - d) <= 1e-12 * max(1.0, abs(d))
@@ -228,20 +223,24 @@ class TestBasisSpinors:
             solution = lambda x: basis_spinors(canonical, 3.0, x)[column]
             assert hamiltonian_residual(solution, pot, canonical.mass, 3.0, 0.2, h=1e-4) < 1e-6
 
-    @pytest.mark.parametrize("energy", [1.0, -1.0, 1.0 + 1e-12])
-    def test_degenerate_energies_raise(self, canonical, energy):
-        with pytest.raises(DegenerateEnergy):
-            basis_spinors(canonical, energy, 0.3)
+    @pytest.mark.parametrize("set_index", [0, 2])
+    def test_accurate_near_the_bound_state_energies(self, set_index):
+        # the canonical set and m=2.4390, gamma=1.7585, a=1.0834 against U's
+        # product form in 50 digits, where the pole cancels exactly
+        mpmath = pytest.importorskip("mpmath")
+        p = oracle_sets(1)[set_index]
+        params = ModelParams(p.mass, p.gamma, p.half_period)
+        xs = np.linspace(-2.2, 2.2, 23)
+        for delta in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+            for energy in (params.lam * (1 + delta), -params.lam * (1 + delta)):
+                got = fundamental_matrix(params, energy, xs)
+                with mpmath.workdps(50):
+                    want = np.array([_product_form(mpmath, params, energy, x) for x in xs])
+                scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
+                err = np.abs(np.moveaxis(got, -1, 0) - want).max(axis=(1, 2))
+                assert (err <= 1e-13 * scale).all(), (energy, float((err / scale).max()))
 
-    def test_epsilon_is_configurable(self, canonical, monkeypatch):
-        energy = canonical.lam + 1e-7  # |E^2 - lam^2| = 2e-7
-        monkeypatch.setattr(soliton, "DEGENERATE_EPS", 1e-16)
-        basis_spinors(canonical, energy, 0.1)
-        monkeypatch.setattr(soliton, "DEGENERATE_EPS", 1e-4)
-        with pytest.raises(DegenerateEnergy):
-            basis_spinors(canonical, energy, 0.1)
-
-    @pytest.mark.parametrize("energy", [0.0, 2.0, -2.0, 2.0 + 1e-12])
+    @pytest.mark.parametrize("energy", [0.0, 2.0, -2.0, 2.0 + 1e-12, LAM, -LAM])
     def test_regular_at_zero_and_mass_shell(self, canonical, energy):
         (u11, u12), (u21, u22) = fundamental_matrix(canonical, energy, np.linspace(-2, 2, 9))
         assert np.isfinite([u11, u12, u21, u22]).all()
@@ -271,6 +270,25 @@ class TestBasisSpinors:
         monkeypatch.setattr(soliton, "basis_spinors", lambda p, e, x: spinors(p, e + 0.1, x))
         residual, _ = check_solution_residuals(canonical)
         assert not residual.passed
+
+
+def _product_form(mpmath, params, energy, x):
+    """U(x; E) = B(x) (C I + S A0) adj B(0) / (q + gamma^2) at the working
+    precision of mpmath, as floats; q < 0."""
+    m, g, e, x = (mpmath.mpf(v) for v in (params.mass, params.gamma, energy, x))
+    alpha = mpmath.log((m - g) / (m + g)) / 4
+
+    def b(t):
+        return mpmath.matrix([[m - g * mpmath.tanh(g * t - alpha), -e],
+                              [e, -m - g * mpmath.tanh(g * t + alpha)]])
+
+    q = e * e - m * m
+    kap = mpmath.sqrt(-q)
+    free = mpmath.cosh(kap * x) * mpmath.eye(2) + mpmath.sinh(kap * x) / kap * mpmath.matrix([[m, -e], [e, -m]])
+    b0 = b(0)
+    adj = mpmath.matrix([[b0[1, 1], -b0[0, 1]], [-b0[1, 0], b0[0, 0]]])
+    u = b(x) * free * adj / (q + g * g)
+    return np.array([[float(u[i, j]) for j in range(2)] for i in range(2)])
 
 
 def bound_state(params, column):
