@@ -122,9 +122,11 @@ def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
     return es
 
 
-def _finite_lyapunov(params: ModelParams, es: np.ndarray) -> np.ndarray:
-    """lyapunov_many, or DiracBandError at the first energy where D is not
-    finite: cosh(2a kap) overflows once 2a kap passes about 709."""
+def lyapunov_trace(params: ModelParams, energies) -> np.ndarray:
+    """D at every energy, as lyapunov_many, or DiracBandError at the first
+    energy where D is not finite: cosh(2a kap) overflows once 2a kap
+    passes about 709."""
+    es = np.asarray(energies, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         ds = lyapunov_many(params, es)
     bad = np.flatnonzero(~np.isfinite(ds))
@@ -132,20 +134,6 @@ def _finite_lyapunov(params: ModelParams, es: np.ndarray) -> np.ndarray:
         raise DiracBandError(f"D is not finite at E={float(es[bad[0]])}: cosh(2a kappa) "
                              f"overflows at half-period {params.half_period}")
     return ds
-
-
-def lyapunov_trace(
-    params: ModelParams, e_min: float, e_max: float, samples: int
-) -> list[tuple[float, float, str]]:
-    """Evenly sampled (E, D, regime) rows; see regimes for the labels.
-    Raises DiracBandError where D is not finite."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if not e_min < e_max:
-        raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
-    es = energy_grid(e_min, e_max, samples)
-    ds = _finite_lyapunov(params, es)
-    return list(zip(es.tolist(), ds.tolist(), regimes(params, es)))
 
 
 #: scan points per period of cos(2ak): above the mass dE <= dk, so a step
@@ -251,7 +239,7 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     check_scan_window(params, e_max)
     step = _scan_step(params)
     xs = step * np.arange(int(e_max / step) + 3)
-    ds = _finite_lyapunov(params, xs)
+    ds = lyapunov_trace(params, xs)
 
     # E = 0 is a critical point with D(0) = 2 cosh(...) >= 2, since D is even;
     # every other one lies within a cell of a discrete extremum
@@ -281,27 +269,24 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     return BandTable(params, edges, bands, e_max, tol)
 
 
-def dispersion(params: ModelParams, band, n: int) -> list[tuple[float, float]]:
-    """Sample the dispersion law K(E) = arccos(D/2) / (2a) across a band.
+def dispersion(params: ModelParams, band: Band, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the dispersion law K(E) = arccos(D/2) / (2a) across an
+    allowed band: n energies and K at each.
 
-    ``band`` is (e_lo, e_hi) or a Band of kind "allowed".  The endpoints
-    are used as given: band_edges puts them within a float of |D| = 2,
-    where |D/2| lies inside the 1e-9 snap window, so the returned K
-    endpoints are exactly 0 or pi/(2a).
-    Raises NotAllowedBand if any sample has |D| > 2 + 1e-9.
+    The endpoints are used as given: band_edges puts them within a float
+    of |D| = 2, where |D/2| lies inside the 1e-9 snap window, so the
+    returned K endpoints are exactly 0 or pi/(2a).
+    Raises NotAllowedBand if the band is not of kind "allowed" or any
+    sample has |D| > 2 + 1e-9.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if isinstance(band, Band):
-        if band.kind != "allowed":
-            raise NotAllowedBand(f"band ({band.e_lo}, {band.e_hi}) is {band.kind}")
-        e_lo, e_hi = band.e_lo, band.e_hi
-    else:
-        e_lo, e_hi = band
-    if not e_lo < e_hi:
-        raise ValueError(f"need e_lo < e_hi, got ({e_lo}, {e_hi})")
+    if band.kind != "allowed":
+        raise NotAllowedBand(f"band ({band.e_lo}, {band.e_hi}) is {band.kind}")
+    if not band.e_lo < band.e_hi:
+        raise ValueError(f"need e_lo < e_hi, got ({band.e_lo}, {band.e_hi})")
 
-    es = np.linspace(e_lo, e_hi, n)
+    es = np.linspace(band.e_lo, band.e_hi, n)
     half = lyapunov_many(params, es) / 2.0
 
     overshoot = np.abs(half) - 1.0
@@ -314,5 +299,4 @@ def dispersion(params: ModelParams, band, n: int) -> list[tuple[float, float]]:
     # edge; arccos is sqrt-singular there, so clipping alone is not enough
     half = np.where(np.abs(np.abs(half) - 1.0) <= 1e-9, np.sign(half), half)
     a = params.half_period
-    ks = np.arccos(half) / (2.0 * a)
-    return list(zip(es.tolist(), ks.tolist()))
+    return es, np.arccos(half) / (2.0 * a)

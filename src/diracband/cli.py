@@ -173,16 +173,16 @@ def _tabulated_potential(path: str, params: soliton.ModelParams):
 
 
 def cmd_lyapunov(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
-    """Discriminant trace, columns `e,d,regime`."""
-    if args.potential_file is not None:
+    """Discriminant trace, columns `e,d,regime`: D in closed form, or from
+    the oracle on --potential-file."""
+    es = bands.energy_grid(args.e_min, args.e_max, args.samples)
+    if args.potential_file is None:
+        ds = bands.lyapunov_trace(params, es)
+    else:
         pot, knots = _tabulated_potential(args.potential_file, params)
-        es = bands.energy_grid(args.e_min, args.e_max, args.samples)
         # steps on the table's rows: RK4 meets one linear piece per step
         ds = monodromy.lyapunov_numeric_many(pot, params.mass, es, params.half_period, knots=knots)
-        columns = es.tolist(), ds.tolist(), bands.regimes(params, es)
-    else:
-        columns = zip(*bands.lyapunov_trace(params, args.e_min, args.e_max, args.samples))
-    return dict(zip(("e", "d", "regime"), columns))
+    return {"e": es.tolist(), "d": ds.tolist(), "regime": bands.regimes(params, es)}
 
 
 def _band_table(args: argparse.Namespace, params: soliton.ModelParams) -> bands.BandTable:
@@ -241,8 +241,8 @@ def cmd_dispersion(args: argparse.Namespace, params: soliton.ModelParams) -> dic
             f"--band-index {args.band_index} out of range; table has {len(allowed)} "
             "positive allowed bands"
         )
-    es, ks = zip(*bands.dispersion(params, allowed[args.band_index], args.samples))
-    return {"k": ks, "e": es}
+    es, ks = bands.dispersion(params, allowed[args.band_index], args.samples)
+    return {"k": ks.tolist(), "e": es.tolist()}
 
 
 def cmd_verify(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
@@ -325,7 +325,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--format: the {args.command} artifact is JSON only")
         params = _model(args)
         _check_sampling(args)
-        data = _COMMANDS[args.command](args, params)
+        # every non-finite value that could reach an artifact already exits 2
+        # by an explicit check (D's finiteness, the oracle's det drift), so
+        # numpy's overflow and invalid-value warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            data = _COMMANDS[args.command](args, params)
         # verify's stdout is its summary; its report is written only to a file
         if args.command != "verify" or args.out != "-":
             _write_artifact(args, params, data)

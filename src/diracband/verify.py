@@ -139,12 +139,12 @@ def check_darboux_consistency(params: soliton.ModelParams) -> CheckResult:
     return CheckResult.from_measure("darboux-consistency", worst, 1e-12, "50 sample points")
 
 
-def check_oracle_equivalence(params: soliton.ModelParams, steps: int | None = None) -> CheckResult:
+def check_oracle_equivalence(params: soliton.ModelParams) -> CheckResult:
     """Closed form against the RK4 monodromy trace on 40 random energies,
     relative to max(1, |D|): at strongly evanescent energies |D| reaches
-    1e9, and the rounding of the trace there is not step error.  ``steps``
-    is the oracle's first step count, which it doubles (monodromy); by
-    default it follows the cell and the energies (``monodromy.first_steps``)."""
+    1e9, and the rounding of the trace there is not step error.  The
+    oracle's first step count follows the cell and the energies
+    (``monodromy.first_steps``), and the oracle doubles it."""
     rng = np.random.default_rng(SEED)
     m = params.mass
     es = []
@@ -155,8 +155,7 @@ def check_oracle_equivalence(params: soliton.ModelParams, steps: int | None = No
     es = np.array(es)
     closed = bands.lyapunov_many(params, es)
     pot = soliton.periodized_potential(params)
-    if steps is None:
-        steps = monodromy.first_steps(pot, m, es, params.half_period)
+    steps = monodromy.first_steps(pot, m, es, params.half_period)
     numeric = monodromy.lyapunov_numeric_many(pot, m, es, params.half_period, steps)
     worst = float((np.abs(closed - numeric) / np.maximum(1.0, np.abs(closed))).max())
     return CheckResult.from_measure(

@@ -6,11 +6,11 @@ the captured output); assertions carry the same measurements.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from conftest import count_crossings
 from diracband import ModelParams, band_edges, cli, dispersion, lyapunov_trace
+from diracband.bands import energy_grid
 from diracband.verify import (
     REFERENCE_EDGES,
     check_darboux_consistency,
@@ -96,8 +96,7 @@ def test_criterion_8_dispersion_reconstruction(canonical, table, tmp_path):
     lowest = bands_table.allowed_bands(positive_only=True)[0]
     assert lowest.e_lo == pytest.approx(0.738, abs=2e-3)
     assert lowest.e_hi == pytest.approx(1.381, abs=2e-3)
-    points = dispersion(canonical, lowest, 101)
-    ks = [k for _, k in points]
+    _, ks = dispersion(canonical, lowest, 101)
     endpoint_err = max(abs(ks[0]), abs(ks[-1] - math.pi / 2))
     monotone = all(b > a for a, b in zip(ks[:-1], ks[1:]))
 
@@ -141,8 +140,8 @@ def test_figure_artifacts(canonical, tmp_path):
     rows = profile.read_text(encoding="utf-8").strip().split("\n")[1:]
     assert len(rows) == 601
 
-    es, ds, _ = zip(*lyapunov_trace(canonical, 0.0, 7.0, 701))
-    es, ds = np.array(es), np.array(ds)
+    es = energy_grid(0.0, 7.0, 701)
+    ds = lyapunov_trace(canonical, es)
     bracketed = sum(
         1 for ref in REFERENCE_EDGES
         if count_crossings(ds[(es > ref - 0.011) & (es < ref + 0.011)]) >= 1

@@ -454,6 +454,16 @@ class TestValidation:
         assert code == 2 and not path.exists()
         assert "D is not finite at E=0.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["verify", "--mass", "100", "--gamma", "50", "--half-period", "50"], 2),
+        (["potential", "--half-period", "300"], 0),
+    ])
+    def test_wide_cell_prints_no_numpy_warning(self, tmp_path, argv, expected, capsys):
+        # cosh overflows in both cells; verify stops on the oracle's NaN det
+        # drift, and the potential's -0.0 far from the kinks is its limit
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == expected
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bands", "dispersion"])
     def test_oversize_energy_window(self, command, capsys):
         # finite, so it passes the window check, but its edge scan is too large

@@ -18,4 +18,6 @@ def test_second_run_overwrites_every_artifact_with_the_same_bytes(tmp_path):
     artifacts = [name for name in first if not name.endswith(".log")]
     assert any(name.startswith("oracle") for name in artifacts) and len(artifacts) > 20
     assert not [name for name in artifacts if b"\0" in first[name]]
-    assert all(first[name].startswith(b"exit ") for name in first if name.endswith(".log"))
+    logs = [first[name] for name in first if name.endswith(".log")]
+    assert all(log.startswith(b"exit ") for log in logs)
+    assert not [log for log in logs if b"RuntimeWarning" in log]
