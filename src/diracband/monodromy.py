@@ -59,6 +59,8 @@ distinct |E| are integrated.
 """
 from __future__ import annotations
 
+import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -98,11 +100,34 @@ _FUSED = 8
 _CHUNK = 2
 
 
+#: this thread's work arrays, by name (``_work``)
+_workspace = threading.local()
+
+
+def _work(name: str, shape: tuple) -> np.ndarray:
+    """A float array of ``shape`` from this thread's workspace, not
+    initialised: the caller writes all of it before reading it.
+
+    Each name keeps one flat buffer that only grows, for the life of the
+    thread, so every pass writes into memory that is already mapped.
+    Freed after each pass, the work arrays went back to the system
+    between the passes of an oracle unit (glibc trims the top of its
+    heap) and page-faulted again on the next.  No value is ever read
+    from one call by another.
+    """
+    size = math.prod(shape)
+    buffer = getattr(_workspace, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        setattr(_workspace, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
 def _add_product(out, p, q):
     """out += p(t) q(t), for polynomials in t whose coefficients, from t^0
     up, run along axis 1; out holds at least the product's coefficients."""
     n = q.shape[1]
-    term = np.empty_like(q)
+    term = _work("term", q.shape)
     for i in range(p.shape[1]):
         np.multiply(p[:, i:i + 1], q, out=term)
         out[:, i:i + n] += term
@@ -121,8 +146,9 @@ def _fuse_pairs(f):
     """
     a, b = f[:, :, 0::2], f[:, :, 1::2]
     n = f.shape[1]
-    fused = np.zeros((4, 2 * n - 1) + a.shape[2:])
+    fused = _work(f"fused{n}", (4, 2 * n - 1) + a.shape[2:])
     np.add(a, b, out=fused[:, :n])
+    fused[:, n:] = 0.0
     # (BA)11 = B11 A11 + t B12 A21, (BA)22 = B22 A22 + t B21 A12
     _add_product(fused[:2], b[:2], a[:2])
     _add_product(fused[:2, 1:], b[2:, :-1], a[3:1:-1, :-1])
@@ -201,28 +227,35 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     p, q, eta, delta = h * (s0 + s1), h2 * s0 * s1, h * sm, h * (s0 - s1)
     mu = eta * eta
     even, odd = q * mu + 4.0 * eta * p + 4.0 * mu, 2.0 * p * mu + 4.0 * p + 16.0 * eta
-    by_step = np.zeros((4, 3, n_blocks * n_fused * fused))
+    by_step = _work("by_step", (4, 3, n_blocks * n_fused * fused))
+    by_step[:, :, steps:] = 0.0
+    by_step[2:, 2] = 0.0
     by_step[0, :, :steps] = even + odd, -h2 * (q + mu + 12.0 + 2.0 * p), h2 * h2
     by_step[1, :, :steps] = even - odd, -h2 * (q + mu + 12.0 - 2.0 * p), h2 * h2
     by_step[2, :2, :steps] = h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0), -h2 * h * (delta - 4.0)
     by_step[3, :2, :steps] = h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0), -h2 * h * (delta + 4.0)
     # (entry, coefficient, position in group, group), groups block-major
     by_step /= 24.0
-    f = np.ascontiguousarray(by_step.reshape(4, 3, -1, fused).transpose(0, 1, 3, 2))
+    f = _work("by_group", (4, 3, fused, by_step.shape[2] // fused))
+    np.copyto(f, by_step.reshape(4, 3, -1, fused).transpose(0, 1, 3, 2))
     while f.shape[2] > 1:
         f = _fuse_pairs(f)
     n_powers = 2 * fused + 1
-    f = f.reshape(4, n_powers, n_blocks, n_fused)
-    # to the frame T^-1 P T: E P12 = t Q12 takes Q12's coefficients one
-    # power up (its last is zero), P21 / E = Q21 keeps them
-    f[2] = np.roll(f[2], 1, axis=0)
-    # (fused step, entry, block, power), entries 11, 12, 21, 22
-    coefficients = np.ascontiguousarray(f[[0, 2, 3, 1]].transpose(3, 0, 2, 1))
+    # (entry, fused step, block, power), entries 11, 22, 12, 21
+    f = f.reshape(4, n_powers, n_blocks, n_fused).transpose(0, 3, 2, 1)
+    # (fused step, entry, block, power), entries 11, 12, 21, 22, in the
+    # frame T^-1 P T: E P12 = t Q12 takes Q12's coefficients one power up
+    # (its last is zero), P21 / E = Q21 keeps them
+    coefficients = _work("coefficients", (n_fused, 4, n_blocks, n_powers))
+    coefficients[:, 0], coefficients[:, 2], coefficients[:, 3] = f[0], f[3], f[1]
+    coefficients[:, 1, :, 0] = 0.0
+    coefficients[:, 1, :, 1:] = f[2, :, :, :-1]
     powers = (e * e) ** np.arange(n_powers)[:, None]
 
-    x = np.zeros((2, 2, n_blocks, e.size))
-    px, term = np.empty((2,) + x.shape)
-    slabs = np.empty((_CHUNK,) + x.shape)
+    x = _work("x", (2, 2, n_blocks, e.size))
+    x.fill(0.0)
+    px, term = _work("px", (2,) + x.shape)
+    slabs = _work("slabs", (_CHUNK,) + x.shape)
     for start in range(0, n_fused, _CHUNK):
         rows = coefficients[start:start + _CHUNK].reshape(-1, n_powers)
         chunk = slabs[:min(_CHUNK, n_fused - start)]

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +244,64 @@ class TestBlockedProduct:
         pot = periodized_potential(canonical)
         traces = lyapunov_numeric_many(pot, canonical.mass, np.array([]), A)
         assert traces.shape == (0,)
+
+
+def workspace_call(n_energies, steps):
+    """The bits of the oracle's fundamental matrix on the canonical set, at
+    ``n_energies`` random energies and ``steps`` steps."""
+    params = ModelParams.from_lambda(mass=MASS, lam=1.0, half_period=A)
+    es = np.random.default_rng(n_energies).uniform(-8.0, 8.0, n_energies)
+    return np.concatenate(propagate(periodized_potential(params), MASS, es, steps)).tobytes()
+
+
+class TestWorkspace:
+    """Each thread keeps its work arrays between calls (``monodromy._work``);
+    no call may read what another left in them."""
+
+    #: (energies, steps): one to eight fused steps, one to 32 blocks
+    CALLS = [(1, 8000), (701, 250), (40, 2000), (1, 250), (701, 4000), (40, 8000)]
+
+    def test_calls_do_not_depend_on_earlier_calls(self):
+        # each call as the first of a fresh interpreter, then interleaved
+        # here in two orders, after whatever the suite ran before
+        env = dict(os.environ, PYTHONPATH=str(Path(monodromy.__file__).resolve().parents[1]))
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import test_monodromy as t; "
+                  "sys.stdout.write(t.workspace_call(*map(int, sys.argv[2:])).hex())")
+        fresh = {}
+        for call in self.CALLS:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(Path(__file__).parent), *map(str, call)],
+                capture_output=True, text=True, timeout=120, env=env, check=True,
+            )
+            fresh[call] = bytes.fromhex(proc.stdout)
+        for order in (self.CALLS, self.CALLS[::-2] + self.CALLS[-2::-2]):
+            for call in order:
+                assert workspace_call(*call) == fresh[call], call
+
+    def test_threads_keep_their_own_workspace(self):
+        # three threads (more than the two cores of the bench host) with
+        # calls of different sizes; one pool shared between them would mix
+        # their arrays
+        calls, rounds = self.CALLS[:3], 8
+        serial = [workspace_call(*call) for call in calls]
+        results = [[] for _ in calls]
+
+        def run(call, out):
+            for _ in range(rounds):
+                out.append(workspace_call(*call))
+
+        threads = [threading.Thread(target=run, args=job) for job in zip(calls, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[bits] * rounds for bits in serial]
 
 
 @pytest.fixture

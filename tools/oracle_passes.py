@@ -5,8 +5,12 @@
 
 Runs ``diracband.cli.main`` in process on the first ``--units`` oracle units
 of a seed (``bench/inputs.py``): ``verify``, ``bands --verify`` and the
-tabulated ``lyapunov --potential-file`` trace, as the benchmark does.  For
-each call of ``monodromy.lyapunov_numeric_many`` it prints one line: the
+tabulated ``lyapunov --potential-file`` trace, as the benchmark does.  The
+units run twice, in a ``warm`` round and a ``steady`` one, as a benchmark
+run repeats its list: the first round's faults include the growth of the
+oracle's workspace (``monodromy._work``), the second shows the passes of a
+process that has run them before.  For each call of
+``monodromy.lyapunov_numeric_many`` it prints one line: the round, the
 unit, the command, the energy count, the distinct |E|, the call's
 milliseconds and minor page faults (``getrusage``'s ``ru_minflt``) and the
 step count of every pass.  BLAS runs on one thread, as in the
@@ -16,6 +20,7 @@ checkouts can be set side by side.
 import argparse
 import contextlib
 import io
+import itertools
 import os
 import resource
 import sys
@@ -58,13 +63,14 @@ def main(argv=None) -> int:
             ms = 1e3 * (time.perf_counter() - start)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             e = np.asarray(energies, dtype=float)
-            lines.append(f"{unit:4d} {command:<14} {e.size:8d} {np.unique(np.abs(e)).size:8d} "
+            lines.append(f"{round_:<6} {unit:4d} {command:<14} {e.size:8d} {np.unique(np.abs(e)).size:8d} "
                          f"{ms:9.2f} {faults:7d}  {','.join(map(str, passes))}")
 
     monodromy._propagate, monodromy.lyapunov_numeric_many = counting, timed
-    print(f"{'unit':>4} {'command':<14} {'energies':>8} {'distinct':>8} {'ms':>9} {'minflt':>7}  steps")
+    print(f"{'round':<6} {'unit':>4} {'command':<14} {'energies':>8} {'distinct':>8} {'ms':>9} {'minflt':>7}  steps")
     with tempfile.TemporaryDirectory() as tmp:
-        for unit, (p, profile) in enumerate(make_inputs(args.seed, tmp)["oracle"][:args.units]):
+        units = make_inputs(args.seed, tmp)["oracle"][:args.units]
+        for round_, (unit, (p, profile)) in itertools.product(("warm", "steady"), enumerate(units)):
             q = profile.params
             calls = {
                 "verify": ["verify", *p.cli_args()],
