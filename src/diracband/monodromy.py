@@ -83,20 +83,19 @@ ERROR_TARGET = 1e-7
 MAX_STEPS = 32000
 DET_DRIFT_LIMIT = 1e-6
 
-#: blocks x energies integrated side by side; sets the block length.  On a
-#: 2 vCPU Xeon, replaying the oracle calls of the first four oracle units
-#: of bench seeds 1-3 (passes of 250 to 4000 steps), 2**11 took 0.72 of
-#: the time of 2**13 and 2**10 0.73: at 2**13 the work arrays were
-#: returned to the system after each call, and each call page-faulted
-#: about 640 times, at 2.5 us a fault there
-_BLOCK_ELEMENTS = 2**11
-#: most RK4 steps composed into one fused step, a power of two; in the
-#: same replay 16 took 1.05 and 4 1.23 of the time of 8.  Below 64
-#: distinct |E| fewer steps are fused (see _propagate): there the
-#: composition costs more than it saves
+#: blocks x energies integrated side by side; sets the block length.  In
+#: alternating runs of ``bench/run.py --workload oracle --seed 1 --seconds
+#: 45`` on a 2 vCPU Xeon, four of each, the oracle unit took 0.89 of the
+#: time it took before the workspace (``_work``) at 2**12, 0.92 at 2**11
+#: and 0.93 at 2**13
+_BLOCK_ELEMENTS = 2**12
+#: most RK4 steps composed into one fused step, a power of two; in three
+#: more such runs at 2**12 blocks, 16 took 1.08 and 4 1.10 of the time of
+#: 8.  Below 64 distinct |E| fewer steps are fused (see _propagate):
+#: there the composition costs more than it saves
 _FUSED = 8
-#: fused steps evaluated per matrix product; 1 took 1.04 and 8 1.01 of
-#: the time of 2 in the same replay
+#: fused steps evaluated per matrix product; in the same runs 1 took 1.05
+#: and 4 1.03 of the time of 2
 _CHUNK = 2
 
 
@@ -113,7 +112,10 @@ def _work(name: str, shape: tuple) -> np.ndarray:
     Freed after each pass, the work arrays went back to the system
     between the passes of an oracle unit (glibc trims the top of its
     heap) and page-faulted again on the next.  No value is ever read
-    from one call by another.
+    from one call by another.  The workspace holds its largest arrays
+    until the thread ends: about 2.7 MB after the benchmark's oracle
+    units of seeds 1-3, 15 MB after passes of 32,000 steps at 40
+    energies.
     """
     size = math.prod(shape)
     buffer = getattr(_workspace, name, None)
@@ -195,8 +197,13 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     would lose X's low digits in every block alike, and the errors would
     add up over the blocks instead of averaging out.
 
+    The work arrays come from this thread's workspace (``_work``), taken
+    after ``potential`` is evaluated, so a potential that calls the oracle
+    itself cannot overwrite them.
+
     Each distinct |E| is integrated once; M(-E) = sigma_z M(|E|) sigma_z
-    is exact, and a repeated call returns the same bits.  The BLAS picks
+    is exact, and a repeated call returns the same bits, whatever ran
+    before it.  The BLAS picks
     its kernel by the shape of the product and the place of a column in
     it, so an energy's last bits may move with the number and values of
     the other energies of the call (within 1e-14 of max(1, |D|) in the
@@ -228,6 +235,8 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     mu = eta * eta
     even, odd = q * mu + 4.0 * eta * p + 4.0 * mu, 2.0 * p * mu + 4.0 * p + 16.0 * eta
     by_step = _work("by_step", (4, 3, n_blocks * n_fused * fused))
+    # zero where nothing is written below: the padded steps, and the
+    # off-diagonal entries' third coefficient
     by_step[:, :, steps:] = 0.0
     by_step[2:, 2] = 0.0
     by_step[0, :, :steps] = even + odd, -h2 * (q + mu + 12.0 + 2.0 * p), h2 * h2
