@@ -258,7 +258,7 @@ class TestWorkspace:
     """Each thread keeps its work arrays between calls (``monodromy._work``);
     no call may read what another left in them."""
 
-    #: (energies, steps): one to eight fused steps, one to 32 blocks
+    #: (energies, steps): one, four and eight steps fused, 5 to 4,000 blocks
     CALLS = [(1, 8000), (701, 250), (40, 2000), (1, 250), (701, 4000), (40, 8000)]
 
     def test_calls_do_not_depend_on_earlier_calls(self):

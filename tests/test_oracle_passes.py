@@ -21,6 +21,6 @@ def test_steady_round_takes_no_page_faults():
     # both rounds make the same passes
     assert [row[3:5] + row[7:] for row in rows[:3]] == [row[3:5] + row[7:] for row in rows[3:]]
     if sys.platform.startswith("linux"):
-        # the workspace is mapped in the warm round; freed work arrays
-        # page-faulted 126-557 times a call here
+        # the workspace is mapped in the warm round; work arrays freed
+        # after every pass page-faulted 330-410 times a call of this unit
         assert max(int(row[6]) for row in rows[3:]) <= 64
