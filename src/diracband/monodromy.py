@@ -108,14 +108,13 @@ def _work(name: str, shape: tuple) -> np.ndarray:
     initialised: the caller writes all of it before reading it.
 
     Each name keeps one flat buffer that only grows, for the life of the
-    thread, so every pass writes into memory that is already mapped.
-    Freed after each pass, the work arrays went back to the system
-    between the passes of an oracle unit (glibc trims the top of its
-    heap) and page-faulted again on the next.  No value is ever read
-    from one call by another.  The workspace holds its largest arrays
-    until the thread ends: about 2.7 MB after the benchmark's oracle
-    units of seeds 1-3, 15 MB after passes of 32,000 steps at 40
-    energies.
+    thread, so every pass writes into memory that is already mapped:
+    arrays freed after each pass go back to the system between the
+    passes of an oracle unit (glibc trims the top of its heap) and
+    page-fault again on the next.  No value is ever read from one call
+    by another.  The workspace holds its largest arrays until the thread
+    ends: about 2.7 MB after the benchmark's oracle units of seeds 1-3,
+    15 MB after passes of 32,000 steps at 40 energies.
     """
     size = math.prod(shape)
     buffer = getattr(_workspace, name, None)
