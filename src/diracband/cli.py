@@ -37,10 +37,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
-#: commands whose artifact is a JSON document, never CSV
-JSON_ONLY = {"bands", "verify"}
-
-
 def _model(args: argparse.Namespace) -> soliton.ModelParams:
     """The model from --mass, --lambda or --gamma and --half-period;
     ModelParams' range checks become validation failures."""
@@ -54,14 +50,14 @@ def _model(args: argparse.Namespace) -> soliton.ModelParams:
 
 
 def _check_sampling(args: argparse.Namespace) -> None:
-    """The ranges no model holds: the energy window, --samples and --tol."""
-    if not -math.inf < args.e_min < args.e_max < math.inf:
+    """The ranges no model holds, of the options the command has: window, --samples, --tol."""
+    if "e_min" in args and not -math.inf < args.e_min < args.e_max < math.inf:
         raise ConfigError(
             f"--emin must be below --emax, both finite, got [{args.e_min}, {args.e_max}]"
         )
-    if args.samples < 2:
+    if "samples" in args and args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    if not args.tol > 0:
+    if "tol" in args and not args.tol > 0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
 
 
@@ -95,17 +91,18 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_artifact(args: argparse.Namespace, params: soliton.ModelParams, data: dict) -> None:
     """Write a command's data to --out: columns (a dict of equal-length
-    sequences, in column order) as CSV lines or JSON rows, the document of
-    a JSON-only command as JSON.  Floats in columns are written at 12
-    significant digits; a document is written as given."""
-    if args.output_format == "csv":
+    sequences, in column order) as CSV lines or JSON rows, per --format, the
+    document of a command without --format as JSON.  Floats in columns are
+    written at 12 significant digits; a document is written as given."""
+    output_format = getattr(args, "output_format", None)
+    if output_format == "csv":
         # one format per column, typed from its first value: "%.12g" % v is f"{v:.12g}"
         row_format = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in data.values())
         lines = [",".join(data)]
         lines.extend(map(row_format.__mod__, zip(*data.values())))
         _write_text(args.out, "\n".join(lines) + "\n")
         return
-    if args.command not in JSON_ONLY:  # columns: one object per row
+    if output_format == "json":  # columns: one object per row
         columns = [list(map(_round12, c)) if isinstance(c[0], float) else c for c in data.values()]
         data = [dict(zip(data, row)) for row in zip(*columns)]
     doc = {
@@ -264,40 +261,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mass", type=float, default=2.0, help="particle mass (default 2)")
-    group = common.add_mutually_exclusive_group()
+    # option groups by what reads them; each subcommand takes only the groups it reads
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--mass", type=float, default=2.0, help="particle mass (default 2)")
+    group = model.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="bound-state energy scale in (0, mass); default 1")
     group.add_argument("--gamma", dest="gamma", type=float, default=None,
                        help="soliton steepness in (0, mass); alternative to --lambda")
-    common.add_argument("--half-period", type=float, default=1.0, dest="half_period",
-                        help="half-period a of the periodization (default 1)")
-    common.add_argument("--emin", type=float, default=0.0, dest="e_min")
-    common.add_argument("--emax", type=float, default=7.0, dest="e_max")
-    common.add_argument("--samples", type=int, default=701)
-    common.add_argument("--tol", type=float, default=1e-6,
-                        help="band tables: gaps narrower than this may read as closed; "
-                             "edges are located to adjacent floats whatever it is (default 1e-6)")
-    common.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
-    common.add_argument("--out", default="-", help="output path; '-' writes to stdout")
+    model.add_argument("--half-period", type=float, default=1.0, dest="half_period",
+                       help="half-period a of the periodization (default 1)")
+    model.add_argument("--out", default="-", help="output path; '-' writes to stdout")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--emin", type=float, default=0.0, dest="e_min")
+    window.add_argument("--emax", type=float, default=7.0, dest="e_max")
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--samples", type=int, default=701)
+    rows.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--tol", type=float, default=1e-6,
+                       help="band tables: gaps narrower than this may read as closed; "
+                            "edges are located to adjacent floats whatever it is (default 1e-6)")
 
     parser = _Parser(prog="diracband", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("potential", parents=[common],
+    sub.add_parser("potential", parents=[model, rows],
                    help="periodized potential profile over three periods")
-    p_ly = sub.add_parser("lyapunov", parents=[common], help="discriminant trace over energy")
+    p_ly = sub.add_parser("lyapunov", parents=[model, window, rows],
+                          help="discriminant trace over energy")
     p_ly.add_argument("--potential-file", dest="potential_file", default=None,
                       help="two-column CSV (x, S); switches to the ODE path")
-    p_b = sub.add_parser("bands", parents=[common], help="band edges and intervals (JSON)")
+    p_b = sub.add_parser("bands", parents=[model, window, table],
+                         help="band edges and intervals (JSON)")
     p_b.add_argument("--verify", action="store_true",
                      help="add per-edge closed-form vs oracle residuals")
-    p_d = sub.add_parser("dispersion", parents=[common], help="K(E) samples for one allowed band")
+    p_d = sub.add_parser("dispersion", parents=[model, window, rows, table],
+                         help="K(E) samples for one allowed band")
     p_d.add_argument("--band-index", dest="band_index", type=int, default=0,
                      help="0-based index among the positive allowed bands")
-    sub.add_parser("verify", parents=[common], help="run the self-check suite")
+    sub.add_parser("verify", parents=[model], help="run the self-check suite (JSON)")
     return parser
 
 
@@ -319,10 +323,6 @@ def main(argv=None) -> int:
     _parser = _parser or build_parser()  # parse_args keeps no state between calls
     try:
         args = _parser.parse_args(argv)
-        if args.output_format is None:
-            args.output_format = "json" if args.command in JSON_ONLY else "csv"
-        elif args.output_format == "csv" and args.command in JSON_ONLY:
-            raise ConfigError(f"--format: the {args.command} artifact is JSON only")
         params = _model(args)
         _check_sampling(args)
         # every non-finite value that could reach an artifact already exits 2

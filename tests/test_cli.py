@@ -289,9 +289,10 @@ class TestBandsCommand:
         doc = json.loads(text)
         assert all(e >= 0 for e in doc["data"]["edges"])
 
-    def test_csv_format_rejected(self, tmp_path):
+    def test_csv_format_rejected(self, tmp_path, capsys):
         code, _ = run(["bands", "--format", "csv"], tmp_path)
         assert code == 1
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         _, a = run(["bands", "--emax", "4"], tmp_path, "a.json")
@@ -519,6 +520,53 @@ class TestValidation:
     def test_derived_pair_identity_unquantized(self):
         params = cli._model(cli.build_parser().parse_args(["bands", "--gamma", "1.3"]))
         assert params.mass**2 == pytest.approx(params.gamma**2 + params.lam**2, abs=1e-12)
+
+
+MODEL = ["--mass", "--lambda", "--gamma", "--half-period", "--out"]
+WINDOW = ["--emin", "--emax"]
+ROWS = ["--samples", "--format"]
+TABLE = ["--tol"]
+#: every option of each subcommand: only the ones it reads
+OPTIONS = {
+    "potential": MODEL + ROWS,
+    "lyapunov": MODEL + WINDOW + ROWS + ["--potential-file"],
+    "bands": MODEL + WINDOW + TABLE + ["--verify"],
+    "dispersion": MODEL + WINDOW + ROWS + TABLE + ["--band-index"],
+    "verify": MODEL,
+}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_has_only_the_options_it_reads(self):
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(commands) == sorted(OPTIONS)
+        for name, sub in commands.items():
+            options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+            assert sorted(options) == sorted(OPTIONS[name]), name
+        assert sum(map(len, OPTIONS.values())) == 42
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("potential", "--emin", "0"), ("potential", "--emax", "7"), ("potential", "--tol", "1e-6"),
+        ("lyapunov", "--tol", "1e-6"), ("bands", "--samples", "701"), ("bands", "--format", "json"),
+        ("verify", "--emin", "0"), ("verify", "--emax", "7"), ("verify", "--samples", "701"),
+        ("verify", "--tol", "1e-6"), ("verify", "--format", "json"),
+    ])
+    def test_option_not_read_is_rejected(self, tmp_path, capsys, command, option, value):
+        # also at its default value: the option is refused, not its value
+        path = tmp_path / "out"
+        assert cli.main([command, option, value, "--out", str(path)]) == 1
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--samples", "1"], ["dispersion", "--samples", "1"],
+        ["dispersion", "--emin", "3", "--emax", "1"], ["dispersion", "--tol", "0"],
+    ])
+    def test_each_range_check_runs_where_its_option_is(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {argv[1]} must")
 
 
 class TestSharedParser:
