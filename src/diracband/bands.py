@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DiracBandError, NotAllowedBand
 from .soliton import ModelParams, free_pair, pole_differences
 
-#: the trace labels |E^2 - m^2| below this as the regime "limit"
+#: the trace labels |E^2 - m^2| below this times m^2 as the regime "limit"
 DEGENERATE_EPS = 1e-9
 
 
@@ -99,12 +99,12 @@ def lyapunov(params: ModelParams, energy: float) -> float:
 
 
 def regimes(params: ModelParams, energies) -> list[str]:
-    """"limit" where |E^2 - m^2| < DEGENERATE_EPS, the boundary between
+    """"limit" where |E^2 - m^2| < DEGENERATE_EPS m^2, the boundary between
     "evanescent" (|E| < m) and "propagating" (|E| > m), for every energy."""
     e = np.asarray(energies, dtype=float)
     m = params.mass
     labels = np.where(np.abs(e) > m, "propagating", "evanescent")
-    labels[np.abs(e * e - m * m) < DEGENERATE_EPS] = "limit"
+    labels[np.abs(e * e - m * m) < DEGENERATE_EPS * m * m] = "limit"
     return labels.tolist()
 
 
