@@ -45,10 +45,10 @@ def _check_positive_finite(name: str, value: float) -> None:
 class ModelParams:
     """Physical parameter set: mass, soliton steepness, half-period.
 
-    ``alpha_override`` replaces the derived asymmetry parameter; it exists
-    for sensitivity diagnostics (the self-check suite corrupts alpha to
-    confirm the band-edge regression notices) and should stay None in
-    normal use.
+    ``alpha_override`` replaces the derived asymmetry parameter.  Nothing in
+    the package sets it: the tests do, to build mirrored or even variants and
+    to confirm that ``verify``'s checks notice a corrupted alpha.  It should
+    stay None in normal use.
     """
 
     mass: float
