@@ -543,8 +543,8 @@ class TestOptionSurface:
                        if isinstance(a, argparse._SubParsersAction)]
         assert sorted(commands) == sorted(OPTIONS)
         for name, sub in commands.items():
-            options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
-            assert sorted(options) == sorted(OPTIONS[name]), name
+            options = [o for a in sub._actions for o in a.option_strings]
+            assert sorted(options) == sorted(["-h", "--help", *OPTIONS[name]]), name
         assert sum(map(len, OPTIONS.values())) == 42
 
     @pytest.mark.parametrize("command,option,value", [
@@ -554,7 +554,7 @@ class TestOptionSurface:
         ("verify", "--tol", "1e-6"), ("verify", "--format", "json"),
     ])
     def test_option_not_read_is_rejected(self, tmp_path, capsys, command, option, value):
-        # also at its default value: the option is refused, not its value
+        # values a command that reads the option accepts: the option is refused, not its value
         path = tmp_path / "out"
         assert cli.main([command, option, value, "--out", str(path)]) == 1
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
