@@ -30,7 +30,7 @@ from .soliton import (
     soliton_potential,
     w_functions,
 )
-from .spinor import hamiltonian_residual
+from .verify import hamiltonian_residual
 
 __all__ = [
     "__version__",

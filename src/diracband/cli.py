@@ -50,15 +50,13 @@ def _model(args: argparse.Namespace) -> soliton.ModelParams:
 
 
 def _check_sampling(args: argparse.Namespace) -> None:
-    """The ranges no model holds, of the options the command has: window, --samples, --tol."""
+    """The ranges no model holds, of the options the command has: window, --samples."""
     if "e_min" in args and not -math.inf < args.e_min < args.e_max < math.inf:
         raise ConfigError(
             f"--emin must be below --emax, both finite, got [{args.e_min}, {args.e_max}]"
         )
     if "samples" in args and args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    if "tol" in args and not args.tol > 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
 
 
 def _round12(value: float) -> float:
@@ -190,7 +188,7 @@ def _band_table(args: argparse.Namespace, params: soliton.ModelParams) -> bands.
         bands.check_scan_window(params, e_max)
     except ValueError as exc:
         raise ConfigError(f"--emin/--emax: {exc}") from exc
-    return bands.band_edges(params, e_max=e_max, tol=args.tol)
+    return bands.band_edges(params, e_max=e_max)
 
 
 def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:
@@ -259,6 +257,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser refuses its own leftovers, so a subcommand's are
+        # reported under its usage line, which lists what it does take
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     # option groups by what reads them; each subcommand takes only the groups it reads
@@ -278,40 +284,32 @@ def build_parser() -> argparse.ArgumentParser:
     rows = argparse.ArgumentParser(add_help=False)
     rows.add_argument("--samples", type=int, default=701)
     rows.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--tol", type=float, default=1e-6,
-                       help="band tables: gaps narrower than this may read as closed; "
-                            "edges are located to adjacent floats whatever it is (default 1e-6)")
 
     parser = _Parser(prog="diracband", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("potential", parents=[model, rows],
-                   help="periodized potential profile over three periods")
+    p_p = sub.add_parser("potential", parents=[model, rows],
+                         help="periodized potential profile over three periods")
+    p_p.set_defaults(handler=cmd_potential)
     p_ly = sub.add_parser("lyapunov", parents=[model, window, rows],
                           help="discriminant trace over energy")
     p_ly.add_argument("--potential-file", dest="potential_file", default=None,
                       help="two-column CSV (x, S); switches to the ODE path")
-    p_b = sub.add_parser("bands", parents=[model, window, table],
+    p_ly.set_defaults(handler=cmd_lyapunov)
+    p_b = sub.add_parser("bands", parents=[model, window],
                          help="band edges and intervals (JSON)")
     p_b.add_argument("--verify", action="store_true",
                      help="add per-edge closed-form vs oracle residuals")
-    p_d = sub.add_parser("dispersion", parents=[model, window, rows, table],
+    p_b.set_defaults(handler=cmd_bands)
+    p_d = sub.add_parser("dispersion", parents=[model, window, rows],
                          help="K(E) samples for one allowed band")
     p_d.add_argument("--band-index", dest="band_index", type=int, default=0,
                      help="0-based index among the positive allowed bands")
-    sub.add_parser("verify", parents=[model], help="run the self-check suite (JSON)")
+    p_d.set_defaults(handler=cmd_dispersion)
+    p_v = sub.add_parser("verify", parents=[model], help="run the self-check suite (JSON)")
+    p_v.set_defaults(handler=cmd_verify)
     return parser
-
-
-_COMMANDS = {
-    "potential": cmd_potential,
-    "lyapunov": cmd_lyapunov,
-    "bands": cmd_bands,
-    "dispersion": cmd_dispersion,
-    "verify": cmd_verify,
-}
 
 
 #: main's parser, built on its first call (not at import) and then reused
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
         # by an explicit check (D's finiteness, the oracle's det drift), so
         # numpy's overflow and invalid-value warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            data = _COMMANDS[args.command](args, params)
+            data = args.handler(args, params)
         # verify's stdout is its summary; its report is written only to a file
         if args.command != "verify" or args.out != "-":
             _write_artifact(args, params, data)

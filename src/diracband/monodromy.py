@@ -66,7 +66,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .spinor import det_drift
 
 #: the first step count of the doubling is a multiple of this: the
 #: smallest DEFAULT_STEPS * 2**k with h * omega <= FIRST_STEP_SCALE
@@ -97,6 +96,19 @@ _FUSED = 8
 #: fused steps evaluated per matrix product; in the same runs 1 took 1.05
 #: and 4 1.03 of the time of 2
 _CHUNK = 2
+
+
+def det_drift(m11, m12, m21, m22):
+    """|det M - 1| / max(1, max|M_ij|)^2, entrywise over stacked 2x2
+    matrices M that should be unimodular.
+
+    m11*m22 - m12*m21 cancels two products of size max|M_ij|^2, so
+    rounding alone moves det M by about eps * max|M_ij|^2 where the
+    entries are large (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3); the scaled drift reads rounding as eps.
+    """
+    scale = np.maximum(1.0, np.max(np.abs([m11, m12, m21, m22]), axis=0))
+    return np.abs(m11 * m22 - m12 * m21 - 1.0) / (scale * scale)
 
 
 #: this thread's work arrays, by name (``_work``)
@@ -303,27 +315,6 @@ def _ordered_product(x):
     return x[:, :, 0]
 
 
-def _check_drift(m11, m12, m21, m22, energies: np.ndarray, steps: int) -> None:
-    """Raise StepCountTooSmall when det M drifts from 1 by more than
-    DET_DRIFT_LIMIT at any energy, or is not finite: the step is too
-    coarse there.  The drift is scaled by max(1, max|M_ij|^2), the
-    rounding scale of det M in a strongly evanescent cell (det_drift).
-    """
-    drift = det_drift(m11, m12, m21, m22)
-    if drift.size and not drift.max() <= DET_DRIFT_LIMIT:  # NaN fails too
-        worst = energies.ravel()[int(np.argmax(drift))]
-        raise StepCountTooSmall(
-            f"det drifted by {drift.max():.2e} at E={worst} with {steps} steps; refine"
-        )
-
-
-def _trace(potential: Callable, m: float, energies: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """tr M over the nodes ``xs``, after the det-drift check."""
-    m11, m12, m21, m22 = _propagate(potential, m, energies, xs)
-    _check_drift(m11, m12, m21, m22, energies, xs.size - 1)
-    return m11 + m22
-
-
 def first_steps(potential: Callable, m: float, energies, a: float, knots=None) -> int:
     """The first step count ``lyapunov_numeric_many`` takes when it is
     given none: the smallest count, on the knots and at least
@@ -374,9 +365,10 @@ def lyapunov_numeric_many(
     count; a first count above MAX_STEPS / 2 is the only one.
 
     det M is checked at every count.  Where it drifts from 1 by more than
-    DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2) the step is too coarse
-    for this potential and energy: below the cap the count doubles, and at
-    the last count StepCountTooSmall is raised.
+    DET_DRIFT_LIMIT relative to max(1, max|M_ij|^2) (``det_drift``), or the
+    drift is not finite, the step is too coarse for this potential and
+    energy: below the cap the count doubles, and at the last count
+    StepCountTooSmall is raised.
     """
     e = np.asarray(energies, dtype=float)
     if steps is None:
@@ -393,17 +385,17 @@ def lyapunov_numeric_many(
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             last = 2 * n * substeps > MAX_STEPS
-            try:
-                fine = _trace(potential, m, e, _nodes(edges, substeps))
-            except StepCountTooSmall:
+            m11, m12, m21, m22 = _propagate(potential, m, e, _nodes(edges, substeps))
+            drift = det_drift(m11, m12, m21, m22)
+            if drift.size and not drift.max() <= DET_DRIFT_LIMIT:  # NaN drifts too
                 if last:
-                    raise
+                    worst = e.ravel()[int(np.argmax(drift))]
+                    raise StepCountTooSmall(f"det drifted by {drift.max():.2e} at E={worst} "
+                                            f"with {n * substeps} steps; refine")
                 coarse, substeps = None, 2 * substeps
                 continue
-            if last:
+            fine = m11 + m22
+            error = np.inf if coarse is None else abs(fine - coarse) / np.maximum(1.0, abs(fine))
+            if last or not np.any(error > ERROR_TARGET):
                 return fine
-            if coarse is not None:
-                error = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
-                if not np.any(error > ERROR_TARGET):
-                    return fine
             coarse, substeps = fine, 2 * substeps

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import bands, darboux, monodromy, soliton
-from .spinor import det_drift, hamiltonian_residual
 
 #: regression constants for mass=2, lambda=1, half-period=1
 #: (three-decimal band-edge values; locations reproduced to < 5e-4)
@@ -50,6 +50,43 @@ def _canonical(params: soliton.ModelParams) -> bool:
     )
 
 
+def hamiltonian_residual(solution: Callable, potential: Callable, m: float, energy, x,
+                         h: float = 1e-4):
+    """Norm of (h - E) applied to the solution at each x, with a
+    central-difference derivative of step h; shaped like x broadcast
+    against the energy.
+
+    The Hamiltonian h = i*sigma_y d/dx + (m + S(x))*sigma_x acts on
+    two-component spinors; h psi = E psi is the first-order system
+
+        psi1' = (m + S) psi1 - E psi2
+        psi2' = E psi1 - (m + S) psi2
+
+    that every numerical routine in this package integrates or checks
+    against.  ``solution`` maps an x array to its two components, shaped
+    (2,) + shape(x), and ``potential`` an x array to S(x).
+
+    The solution is called once, on y = the rows x + h, x - h and x,
+    shaped (3,) + shape(x).  The energy may be an array of no more
+    dimensions than x: then the solution is a stack of solutions, one per
+    energy, and its values at y are shaped (2, 3) + the broadcast shape.
+
+    For an exact solution at the right energy the result is O(h^2); a
+    wrong energy or potential shows up at O(1).
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(solution(np.stack([x + h, x - h, x])))
+    fp, fm, f0 = f[:, 0], f[:, 1], f[:, 2]
+    d1 = (fp[0] - fm[0]) / (2 * h)
+    d2 = (fp[1] - fm[1]) / (2 * h)
+    s = m + potential(x)
+    r1 = d2 + s * f0[1] - energy * f0[0]
+    r2 = -d1 + s * f0[0] - energy * f0[1]
+    return np.hypot(r1, r2)
+
+
 def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
     """det U = 1 over a 22 x 20 grid of (E, x) covering both regimes and
     E = +-lam, scaled by max(1, max|U_ij|^2), the rounding scale of a 2 x 2
@@ -58,7 +95,7 @@ def check_wronskian_unity(params: soliton.ModelParams) -> CheckResult:
     energies = np.concatenate([e, -e])[:, None]
     (u11, u21), (u12, u22) = soliton.basis_spinors(params, energies, np.linspace(-2.2, 2.2, 20))
     return CheckResult.from_measure(
-        "wronskian-unity", float(np.max(det_drift(u11, u12, u21, u22))), 1e-10,
+        "wronskian-unity", float(np.max(monodromy.det_drift(u11, u12, u21, u22))), 1e-10,
         "22x20 (E, x) grid with E = +-lam, scaled by max(1, |U|^2)",
     )
 
@@ -209,7 +246,7 @@ def run_verification(params: soliton.ModelParams) -> list[CheckResult]:
         check_darboux_consistency(params),
         check_oracle_equivalence(params),
     ]
-    table = bands.band_edges(params, e_max=E_MAX, tol=1e-6)
+    table = bands.band_edges(params, e_max=E_MAX)
     results.append(check_band_structure(params, table))
     if _canonical(params):
         results.append(check_band_edge_regression(params, table))

@@ -16,8 +16,8 @@ from diracband import (
     soliton_potential,
 )
 from diracband.bands import ZOOM_WAYS
+from diracband.monodromy import det_drift
 from diracband.soliton import free_pair, w_functions
-from diracband.spinor import det_drift
 from diracband.verify import SEED, WRONSKIAN_ENERGIES, CheckResult
 
 # the benchmark's modules, for tests of its inputs and of its tracer
@@ -165,7 +165,7 @@ def reference_evenness(params: ModelParams) -> CheckResult:
 
 
 def reference_hamiltonian_residual(solution, potential, m, energy, x, h):
-    """spinor.hamiltonian_residual with one solution call per row."""
+    """verify.hamiltonian_residual with one solution call per row."""
     x = np.asarray(x, dtype=float)
     fp, fm, f0 = solution(x + h), solution(x - h), solution(x)
     d1 = (fp[0] - fm[0]) / (2 * h)

@@ -431,8 +431,11 @@ class TestValidation:
     def test_too_few_samples(self):
         assert cli.main(["lyapunov", "--samples", "1"]) == 1
 
-    def test_nonpositive_tol(self):
+    def test_nonpositive_tol(self, capsys):
+        # the table tolerance is fixed: --tol is refused, whatever its value
         assert cli.main(["bands", "--tol", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diracband bands") and "unrecognized arguments: --tol 0" in err
 
     def test_unknown_flag(self):
         assert cli.main(["potential", "--frequency", "3"]) == 1
@@ -441,8 +444,11 @@ class TestValidation:
         ("--mass", "nan"), ("--mass", "inf"), ("--half-period", "nan"), ("--half-period", "inf"),
         ("--tol", "nan"), ("--emin", "-inf"), ("--emax", "inf"),
     ])
-    def test_non_finite_rejected(self, flag, value):
+    def test_non_finite_rejected(self, flag, value, capsys):
         assert cli.main(["bands", flag, value]) == 1
+        if flag == "--tol":  # no option of bands: refused before any value is read
+            err = capsys.readouterr().err
+            assert err.startswith("usage: diracband bands") and "unrecognized arguments: --tol nan" in err
 
     @pytest.mark.parametrize("command,window", [
         ("bands", ["--emin", "0", "--emax", "2.5"]), ("lyapunov", ["--emin", "0", "--emax", "1"]),
@@ -525,13 +531,12 @@ class TestValidation:
 MODEL = ["--mass", "--lambda", "--gamma", "--half-period", "--out"]
 WINDOW = ["--emin", "--emax"]
 ROWS = ["--samples", "--format"]
-TABLE = ["--tol"]
 #: every option of each subcommand: only the ones it reads
 OPTIONS = {
     "potential": MODEL + ROWS,
     "lyapunov": MODEL + WINDOW + ROWS + ["--potential-file"],
-    "bands": MODEL + WINDOW + TABLE + ["--verify"],
-    "dispersion": MODEL + WINDOW + ROWS + TABLE + ["--band-index"],
+    "bands": MODEL + WINDOW + ["--verify"],
+    "dispersion": MODEL + WINDOW + ROWS + ["--band-index"],
     "verify": MODEL,
 }
 
@@ -545,24 +550,37 @@ class TestOptionSurface:
         for name, sub in commands.items():
             options = [o for a in sub._actions for o in a.option_strings]
             assert sorted(options) == sorted(["-h", "--help", *OPTIONS[name]]), name
-        assert sum(map(len, OPTIONS.values())) == 42
+        assert sum(map(len, OPTIONS.values())) == 40
 
     @pytest.mark.parametrize("command,option,value", [
         ("potential", "--emin", "0"), ("potential", "--emax", "7"), ("potential", "--tol", "1e-6"),
         ("lyapunov", "--tol", "1e-6"), ("bands", "--samples", "701"), ("bands", "--format", "json"),
         ("verify", "--emin", "0"), ("verify", "--emax", "7"), ("verify", "--samples", "701"),
         ("verify", "--tol", "1e-6"), ("verify", "--format", "json"),
+        ("bands", "--tol", "1e-6"), ("dispersion", "--tol", "1e-6"), ("dispersion", "--tol", "0"),
     ])
     def test_option_not_read_is_rejected(self, tmp_path, capsys, command, option, value):
-        # values a command that reads the option accepts: the option is refused, not its value
+        # valid values (--tol's were, while bands took it): the option is refused, not its
+        # value, under the subcommand's usage line, which lists the options it takes
         path = tmp_path / "out"
         assert cli.main([command, option, value, "--out", str(path)]) == 1
-        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: diracband {command} [-h]")
+        assert f"unrecognized arguments: {option} {value}" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["--frob", "potential"], "unrecognized arguments: --frob"),
+    ])
+    def test_top_level_refusal_keeps_top_level_usage(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diracband [-h]") and message in err
 
     @pytest.mark.parametrize("argv", [
         ["potential", "--samples", "1"], ["dispersion", "--samples", "1"],
-        ["dispersion", "--emin", "3", "--emax", "1"], ["dispersion", "--tol", "0"],
+        ["dispersion", "--emin", "3", "--emax", "1"], ["bands", "--emin", "3", "--emax", "1"],
     ])
     def test_each_range_check_runs_where_its_option_is(self, argv, capsys):
         assert cli.main(argv) == 1

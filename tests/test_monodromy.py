@@ -20,8 +20,8 @@ from diracband import (
     periodized_potential,
 )
 from diracband.bands import energy_grid
+from diracband.monodromy import det_drift
 from diracband.soliton import fold_into_cell
-from diracband.spinor import det_drift
 from diracband.verify import check_oracle_equivalence
 
 A = 1.0

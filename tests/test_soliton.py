@@ -17,9 +17,8 @@ from diracband import (
     soliton_potential,
     w_functions,
 )
-from diracband.monodromy import _propagate
+from diracband.monodromy import _propagate, det_drift
 from diracband.soliton import free_pair
-from diracband.spinor import det_drift
 from diracband.verify import (
     check_darboux_consistency,
     check_intertwining,
