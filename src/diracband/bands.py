@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiracBandError, NotAllowedBand
+from .errors import DiracBandError, NotAllowedBand, ScanWindowTooWide
 from .soliton import ModelParams, free_pair, pole_differences
 
 #: the trace labels |E^2 - m^2| below this times m^2 as the regime "limit"
@@ -145,20 +145,6 @@ ZOOM_WAYS = 16
 MAX_SCAN_POINTS = 2**20
 
 
-def _scan_step(params: ModelParams) -> float:
-    return math.pi / (SCAN_DENSITY * params.half_period)
-
-
-def check_scan_window(params: ModelParams, e_max: float) -> None:
-    """Raise ValueError when the edge scan up to e_max would sample more
-    than MAX_SCAN_POINTS energies (counted in floats: e_max may be 1e308)."""
-    if e_max / _scan_step(params) + 3.0 > MAX_SCAN_POINTS:
-        raise ValueError(
-            f"|E| up to {e_max} needs more than {MAX_SCAN_POINTS} edge-scan points "
-            f"at half-period {params.half_period}"
-        )
-
-
 #: the interior zoom points as fractions of their bracket
 _FRACTIONS = np.arange(1, ZOOM_WAYS) / ZOOM_WAYS
 
@@ -180,35 +166,34 @@ def _zoom_extrema(params: ModelParams, lo, hi, dlo, dhi, sign, tol: float):
     (a gap narrower than the scan step) or the bracket is narrower than
     tol; returns the best energy of each bracket and D there."""
     best, d_best = np.empty_like(lo), np.empty_like(lo)
-    active = np.ones(lo.shape, dtype=bool)
-    while active.any():
-        a = np.nonzero(active)[0]
+    a = np.arange(lo.size)  # the live brackets
+    while a.size:
         xs, ds = _refine(params, lo[a], hi[a], dlo[a], dhi[a])
-        r = np.arange(a.size)
         j = np.argmax(sign[a, None] * ds, axis=1)
-        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, ZOOM_WAYS)
+        row = np.arange(a.size) * (ZOOM_WAYS + 1)
+        left, right = row + np.maximum(j - 1, 0), row + np.minimum(j + 1, ZOOM_WAYS)
+        j += row
+        xs, ds = xs.ravel(), ds.ravel()
         width = hi[a] - lo[a]
-        best[a], d_best[a] = xs[r, j], ds[r, j]
-        lo[a], dlo[a] = xs[r, left], ds[r, left]
-        hi[a], dhi[a] = xs[r, right], ds[r, right]
-        narrowed = hi[a] - lo[a]
-        active[a] = (sign[a] * d_best[a] <= 2.0) & (narrowed > tol) & (narrowed < width)
+        best[a], d_best[a] = xs[j], ds[j]
+        lo[a], dlo[a], hi[a], dhi[a] = xs[left], ds[left], xs[right], ds[right]
+        narrowed = xs[right] - xs[left]
+        a = a[(sign[a] * ds[j] <= 2.0) & (narrowed > tol) & (narrowed < width)]
     return best, d_best
 
 
 def _zoom_crossings(params: ModelParams, lo, hi, dlo, dhi, line):
     """Zoom every bracket of a sign change of D - line down to two
-    adjacent floats; returns the float of each pair nearer the line."""
-    active = np.nextafter(lo, np.inf) < hi
-    while active.any():
-        a = np.nonzero(active)[0]
-        xs, ds = _refine(params, lo[a], hi[a], dlo[a], dhi[a])
-        r = np.arange(a.size)
-        above = ds > line[a, None]
-        j = np.argmax(above != above[:, :1], axis=1)  # the last column is on the far side
-        lo[a], dlo[a] = xs[r, j - 1], ds[r, j - 1]
-        hi[a], dhi[a] = xs[r, j], ds[r, j]
-        active[a] = np.nextafter(lo[a], np.inf) < hi[a]
+    adjacent floats; returns the float of each pair nearer the line.
+    Every bracket is zoomed every round: the interior points of adjacent
+    floats round onto them, so such a bracket zooms onto itself."""
+    row = np.arange(lo.size) * (ZOOM_WAYS + 1)
+    while np.any(np.nextafter(lo, np.inf) < hi):
+        xs, ds = _refine(params, lo, hi, dlo, dhi)
+        above = ds > line[:, None]
+        j = row + np.argmax(above != above[:, :1], axis=1)  # the last column is on the far side
+        xs, ds = xs.ravel(), ds.ravel()
+        lo, dlo, hi, dhi = xs[j - 1], ds[j - 1], xs[j], ds[j]
     return np.where(np.abs(dlo - line) <= np.abs(dhi - line), lo, hi)
 
 
@@ -229,15 +214,18 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     points in one lyapunov_many call.  The scan runs on the positive axis
     and is mirrored, so the table is exactly E -> -E symmetric.
 
-    Raises ValueError when the scan would sample more than MAX_SCAN_POINTS
-    energies, and DiracBandError where D is not finite on the scan.
+    Raises ScanWindowTooWide (a ValueError) before the scan when it would
+    sample more than MAX_SCAN_POINTS energies, and DiracBandError where D
+    is not finite on the scan.
     """
     if e_max <= 0:
         raise ValueError("e_max must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    check_scan_window(params, e_max)
-    step = _scan_step(params)
+    step = math.pi / (SCAN_DENSITY * params.half_period)
+    if e_max / step + 3.0 > MAX_SCAN_POINTS:  # in floats: e_max may be 1e308
+        raise ScanWindowTooWide(f"|E| up to {e_max} needs more than {MAX_SCAN_POINTS} edge-scan "
+                                f"points at half-period {params.half_period}")
     xs = step * np.arange(int(e_max / step) + 3)
     ds = lyapunov_trace(params, xs)
 

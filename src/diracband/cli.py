@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, bands, monodromy, soliton, verify
-from .errors import DiracBandError
+from .errors import DiracBandError, ScanWindowTooWide
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -185,10 +185,9 @@ def _band_table(args: argparse.Namespace, params: soliton.ModelParams) -> bands.
     too wide for the edge scan is rejected before any work."""
     e_max = max(abs(args.e_min), abs(args.e_max))
     try:
-        bands.check_scan_window(params, e_max)
-    except ValueError as exc:
+        return bands.band_edges(params, e_max=e_max)
+    except ScanWindowTooWide as exc:
         raise ConfigError(f"--emin/--emax: {exc}") from exc
-    return bands.band_edges(params, e_max=e_max)
 
 
 def cmd_bands(args: argparse.Namespace, params: soliton.ModelParams) -> dict:

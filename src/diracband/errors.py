@@ -11,3 +11,7 @@ class NotAllowedBand(DiracBandError):
 
 class StepCountTooSmall(DiracBandError):
     """Monodromy determinant drifted from 1; increase the step count."""
+
+
+class ScanWindowTooWide(ValueError):
+    """band_edges' window needs more edge-scan points than it may sample."""

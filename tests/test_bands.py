@@ -369,6 +369,57 @@ class TestReferenceBits:
             assert band_edges(p, e_max=p.mass + 5.0, tol=1e-6) == table, p
 
 
+def zoom_batch(params: ModelParams):
+    """Brackets of sign changes of D - line as band_edges zooms them: each
+    crossing of its scan step up to m + 5, then each edge of the table
+    with its adjacent float across the line; (lo, hi, dlo, dhi, line)."""
+    e_max = params.mass + 5.0
+    step = math.pi / (bands.SCAN_DENSITY * params.half_period)
+    lo, hi, line = map(list, zip(*crossing_brackets(params, e_max, step)))
+    for e in band_edges(params, e_max=e_max).positive_edges:
+        target = math.copysign(2.0, lyapunov(params, e))
+        after = math.nextafter(e, math.inf)
+        across = (lyapunov(params, e) > target) != (lyapunov(params, after) > target)
+        lo.append(e if across else math.nextafter(e, -math.inf))
+        hi.append(after if across else e)
+        line.append(target)
+    lo, hi, line = np.array(lo), np.array(hi), np.array(line)
+    return lo, hi, lyapunov_many(params, lo), lyapunov_many(params, hi), line
+
+
+class TestZoomCrossings:
+    """The crossing zoom samples every bracket every round, finished or
+    not; this holds because of the two facts below.  Sweep seed 1 set 190
+    has its bound-state edges where D is quantized: D steps by about 1e-6
+    between adjacent floats there."""
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        from inputs import sweep_sets
+
+        sets = sweep_sets(1)
+        return [(p, zoom_batch(p)) for p in (ModelParams(s.mass, s.gamma, s.half_period)
+                                             for s in sets[1:31] + [sets[190]])]
+
+    def test_adjacent_floats_zoom_onto_themselves(self, batches):
+        for params, (lo, hi, dlo, dhi, line) in batches:
+            done = np.nextafter(lo, np.inf) == hi
+            assert done.any() and not done.all(), params
+            roots = bands._zoom_crossings(params, lo.copy(), hi.copy(), dlo.copy(), dhi.copy(), line)
+            nearer = np.where(np.abs(dlo - line) <= np.abs(dhi - line), lo, hi)
+            assert np.array_equal(roots[done], nearer[done]), params
+
+    def test_batch_gives_each_bracket_its_own_bits(self, batches):
+        for params, brackets in batches:
+            roots = bands._zoom_crossings(params, *(b.copy() for b in brackets))
+            alone = [bands._zoom_crossings(params, *(b[[i]].copy() for b in brackets))[0]
+                     for i in range(roots.size)]
+            assert np.array_equal(roots, alone), params
+            # and in reverse order
+            flipped = bands._zoom_crossings(params, *(b[::-1].copy() for b in brackets))
+            assert np.array_equal(flipped[::-1], roots), params
+
+
 class TestEnergyGrid:
     def test_symmetric_odd_grid_has_exact_zero(self):
         rng = np.random.default_rng(20261018)

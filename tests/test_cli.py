@@ -258,6 +258,15 @@ class TestBandsCommand:
         residuals = [v["residual"] for v in json.loads(text)["data"]["verification"]]
         assert len(residuals) == 127 and max(residuals) < 1e-8
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: at E = +-lambda of this wide cell max|M_ij| is about 9e30, and since "
+        "_BLOCK_ELEMENTS became 2**12 the oracle's det drifts by 5.83e-06 at the 32000-step cap"))
+    def test_verify_in_a_wide_cell(self, tmp_path, capsys):
+        # exited 0 at _BLOCK_ELEMENTS = 2**11; the drift depends on how the steps are grouped
+        code, _ = run(["bands", "--verify", "--mass", "2", "--gamma", "1", "--half-period", "50"],
+                      tmp_path, "b.json")
+        assert code == 0, capsys.readouterr().err
+
     def test_narrow_band_edges_round_trip(self, tmp_path):
         # an allowed band 7e-7 wide at E = 2.5396: rounded to 12 digits its
         # upper edge reads |D| - 2 = 1.7e-5

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from inputs import oracle_sets
+import numpy as np
+from inputs import oracle_sets, sweep_sets
 
-from diracband import cli
+from diracband import cli, lyapunov_many
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "space.py"
 
@@ -16,7 +18,9 @@ def test_slice_lists_the_checks_the_cli_fails(tmp_path, capsys):
     out = tmp_path / "space.json"
     subprocess.run([sys.executable, str(TOOL), str(out), "--seeds", "6", "--sets", "4"],
                    check=True, capture_output=True, timeout=120)
-    doc = json.loads(out.read_text())
+    sections = json.loads(out.read_text())
+    assert list(sections) == ["verify"]  # no --tables, no tables section
+    doc = sections["verify"]
     assert (doc["seeds"], doc["sets_per_seed"], doc["calls"], doc["errors"]) == ([6], 4, 4, [])
     # the canonical set goes in through --lambda 1, so its regression check runs
     assert doc["checks"]["band-edge-regression"]["runs"] == 1
@@ -34,3 +38,39 @@ def test_slice_lists_the_checks_the_cli_fails(tmp_path, capsys):
     }
     assert doc["failed_calls"] == codes.count(cli.EXIT_VERIFICATION) > 0
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_VERIFICATION}
+
+
+def test_table_slice_matches_the_cli_artifacts(tmp_path, capsys):
+    # the first 45 sweep sets of seed 1: sets 38 and 41 hold a narrow band
+    # below the mass whose edge reads |D| - 2 above dispersion's 1e-9 window
+    out = tmp_path / "space.json"
+    subprocess.run([sys.executable, str(TOOL), str(out), "--sets", "0", "--tables", "45",
+                    "--table-seeds", "1"], check=True, capture_output=True, timeout=120)
+    sections = json.loads(out.read_text())
+    assert list(sections) == ["tables"] and sections["tables"]["sets_per_seed"] == 45
+
+    digest, row = hashlib.sha256(), {"tables": 0, "positive_edges": 0, "certificate": [],
+                                     "dispersion": [], "errors": []}
+    for index, p in enumerate(sweep_sets(1)[:45]):
+        window = [*p.cli_args(), "--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
+        path = tmp_path / f"bands{index}.json"
+        assert cli.main(["bands", *window, "--out", str(path)]) == cli.EXIT_OK
+        data = json.loads(path.read_text())["data"]
+        bands = [(b["e_lo"], b["e_hi"], b["kind"]) for b in data["bands"]]
+        digest.update(repr((tuple(data["edges"]), bands)).encode() + b"\n")
+        row["tables"] += 1
+        row["positive_edges"] += sum(e > 0 for e in data["edges"])
+        edges = np.array(data["edges"])
+        params = cli._model(cli.build_parser().parse_args(["bands", *window]))
+        if np.max(np.abs(np.abs(lyapunov_many(params, edges)) - 2.0)) > 10 * data["tol"]:
+            row["certificate"].append([1, index])
+        complete = [b for b in bands if b[2] == "allowed" and b[0] >= 0 and b[1] < data["e_max"]]
+        codes = [cli.main(["dispersion", *window, "--band-index", str(k), "--samples", "101",
+                           "--out", str(tmp_path / "k.csv")]) for k in range(len(complete))]
+        if cli.EXIT_COMPUTATION in codes:
+            row["dispersion"].append([1, index])
+        assert set(codes) <= {cli.EXIT_OK, cli.EXIT_COMPUTATION}
+    capsys.readouterr()
+    row["sha256"] = digest.hexdigest()
+    assert sections["tables"]["seeds"] == {"1": row}
+    assert row["dispersion"] == [[1, 38], [1, 41]]

@@ -1,21 +1,35 @@
 #!/usr/bin/env python3
-"""Write the failures of ``verify`` over the benchmark's oracle sets to one JSON file.
+"""Write correctness evidence over the benchmark's inputs to one JSON file.
 
     python3 tools/space.py OUT [--src SRC] [--seeds 1-16] [--sets 64]
+                               [--tables N] [--table-seeds 1-3]
 
-Runs ``verify.run_verification`` in process on the first ``--sets`` oracle
-sets (``bench/inputs.oracle_sets``) of every seed of ``--seeds`` (a range
-``A-B`` or one seed), each model built from the set's CLI arguments as
-``diracband verify`` builds it: the canonical set through the default
-``--lambda 1``, so that its ``band-edge-regression`` check runs.  For each
-check the file holds the calls that ran it and the (seed, set) ids of the
-calls it failed; a call that raises is listed under ``errors`` with its
-message.  The file is deterministic for one machine and BLAS build, and
-BLAS runs on one thread, as in the benchmark, so the files of two
-checkouts compare with ``diff``: ``tools/space.py new.json; tools/space.py
-old.json --src ../parent/src``.  The run time goes to stdout.
+Two sections, each run in process and left out when its count is 0:
+
+``verify``: ``verify.run_verification`` on the first ``--sets`` oracle sets
+(``bench/inputs.oracle_sets``) of every seed of ``--seeds`` (a range ``A-B``
+or one seed), each model built from the set's CLI arguments as ``diracband
+verify`` builds it: the canonical set through the default ``--lambda 1``,
+so that its ``band-edge-regression`` check runs.  For each check it holds
+the calls that ran it and the (seed, set) ids of the calls it failed; a
+call that raises is listed under ``errors`` with its message.
+
+``tables``: the band table of the first ``--tables`` sweep sets
+(``bench/inputs.sweep_sets``) of every seed of ``--table-seeds``, over
+|E| <= m + 5 as ``diracband bands --emin -e --emax e`` builds it.  Per seed
+it holds the table count, the positive edges, the ids whose table fails
+the benchmark's edge certificate (||D| - 2| > 10 tol at an edge), the ids
+where ``dispersion`` raises on a complete positive allowed band (one that
+ends below m + 5; 101 samples), the ids where ``band_edges`` raises, and
+a sha256 of every table's edges and bands at full precision.
+
+The file is deterministic for one machine and BLAS build, and BLAS runs on
+one thread, as in the benchmark, so the files of two checkouts compare with
+``diff``: ``tools/space.py new.json; tools/space.py old.json --src
+../parent/src``.  The run time goes to stdout.
 """
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -33,15 +47,7 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-16"),
-                        help="seeds, A-B or one seed (default 1-16)")
-    parser.add_argument("--sets", type=int, default=64, help="oracle sets per seed (default 64)")
-    args = parser.parse_args(argv)
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+def verify_section(seeds: list[int], sets: int) -> dict:
     import numpy as np
     from diracband import cli, verify
     from diracband.errors import DiracBandError
@@ -49,9 +55,8 @@ def main(argv=None) -> int:
 
     checks, errors, calls, failed_calls = {}, [], 0, 0
     cli_parser = cli.build_parser()
-    start = time.perf_counter()
-    for seed in args.seeds:
-        for index, p in enumerate(oracle_sets(seed)[:args.sets]):
+    for seed in seeds:
+        for index, p in enumerate(oracle_sets(seed)[:sets]):
             params = cli._model(cli_parser.parse_args(["verify", *p.cli_args()]))
             calls += 1
             try:
@@ -69,19 +74,89 @@ def main(argv=None) -> int:
                 if not r.passed:
                     check["failed"] += 1
                     check["ids"].append([seed, index])
-    elapsed = time.perf_counter() - start
-    doc = {
-        "seeds": args.seeds,
-        "sets_per_seed": args.sets,
+    return {
+        "seeds": seeds,
+        "sets_per_seed": sets,
         "calls": calls,
         "failed_calls": failed_calls,
         "checks": checks,
         "errors": errors,
     }
+
+
+def tables_section(seeds: list[int], sets: int) -> dict:
+    import numpy as np
+    from diracband import bands, cli
+    from diracband.errors import DiracBandError
+    from inputs import sweep_sets
+
+    cli_parser = cli.build_parser()
+    out = {}
+    for seed in seeds:
+        digest = hashlib.sha256()
+        row = {"tables": 0, "positive_edges": 0, "certificate": [], "dispersion": [], "errors": []}
+        for index, p in enumerate(sweep_sets(seed)[:sets]):
+            window = ["--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
+            args = cli_parser.parse_args(["bands", *p.cli_args(), *window])
+            params = cli._model(args)
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    table = cli._band_table(args, params)
+            except DiracBandError as exc:
+                row["errors"].append([seed, index, str(exc)])
+                continue
+            row["tables"] += 1
+            row["positive_edges"] += len(table.positive_edges)
+            digest.update(repr((table.edges, [(b.e_lo, b.e_hi, b.kind) for b in table.bands]))
+                          .encode() + b"\n")
+            edges = np.array(table.edges)
+            if edges.size and np.max(np.abs(np.abs(bands.lyapunov_many(params, edges)) - 2.0)) \
+                    > 10 * table.tol:
+                row["certificate"].append([seed, index])
+            for band in table.allowed_bands(positive_only=True):
+                if band.e_hi < table.e_max:
+                    try:
+                        bands.dispersion(params, band, 101)
+                    except DiracBandError:
+                        row["dispersion"].append([seed, index])
+                        break
+        row["sha256"] = digest.hexdigest()
+        out[str(seed)] = row
+    return {"sets_per_seed": sets, "e_max": "m + 5", "seeds": out}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-16"),
+                        help="verify: oracle seeds, A-B or one seed (default 1-16)")
+    parser.add_argument("--sets", type=int, default=64,
+                        help="verify: oracle sets per seed, 0 for none (default 64)")
+    parser.add_argument("--tables", type=int, default=0,
+                        help="tables: sweep sets per seed (default 0, none)")
+    parser.add_argument("--table-seeds", type=seed_range, default=seed_range("1-3"),
+                        help="tables: sweep seeds, A-B or one seed (default 1-3)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+
+    doc, start = {}, time.perf_counter()
+    if args.sets > 0:
+        doc["verify"] = verify_section(args.seeds, args.sets)
+    if args.tables > 0:
+        doc["tables"] = tables_section(args.table_seeds, args.tables)
+    elapsed = time.perf_counter() - start
     text = json.dumps(doc, indent=1, sort_keys=True)
     # one (seed, set) id a line
     args.out.write_text(re.sub(r"\[\s+(\d+),\s+(\d+)\s+\]", r"[\1, \2]", text) + "\n")
-    print(f"{calls} calls, {failed_calls} failed, {elapsed:.1f} s")
+    if "verify" in doc:
+        print(f"verify: {doc['verify']['calls']} calls, {doc['verify']['failed_calls']} failed")
+    if "tables" in doc:
+        rows = doc["tables"]["seeds"].values()
+        print(f"tables: {sum(r['tables'] for r in rows)} tables, "
+              + ", ".join(f"{k} {sum(len(r[k]) for r in rows)}"
+                          for k in ("certificate", "dispersion", "errors")))
+    print(f"{elapsed:.1f} s")
     return 0
 
 
