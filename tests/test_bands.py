@@ -11,6 +11,8 @@ from conftest import (
     reference_lyapunov_many,
     reference_refine,
 )
+from inputs import sweep_sets
+
 from diracband import (
     Band,
     ModelParams,
@@ -395,8 +397,6 @@ class TestZoomCrossings:
 
     @pytest.fixture(scope="class")
     def batches(self):
-        from inputs import sweep_sets
-
         sets = sweep_sets(1)
         return [(p, zoom_batch(p)) for p in (ModelParams(s.mass, s.gamma, s.half_period)
                                              for s in sets[1:31] + [sets[190]])]
