@@ -185,16 +185,24 @@ def _zoom_extrema(params: ModelParams, lo, hi, dlo, dhi, sign, tol: float):
 def _zoom_crossings(params: ModelParams, lo, hi, dlo, dhi, line):
     """Zoom every bracket of a sign change of D - line down to two
     adjacent floats; returns the float of each pair nearer the line.
-    Every bracket is zoomed every round: the interior points of adjacent
-    floats round onto them, so such a bracket zooms onto itself."""
-    row = np.arange(lo.size) * (ZOOM_WAYS + 1)
-    while np.any(np.nextafter(lo, np.inf) < hi):
+    A bracket leaves the batch in the round it is done: the rounds it
+    needs grow with log(step / ulp(E)), by several over a wide window."""
+    roots = np.empty_like(lo)
+    at = np.arange(lo.size)  # where each zoomed bracket's root goes
+    while True:
+        live = np.nextafter(lo, np.inf) < hi
+        if not live.all():
+            nearer = np.where(np.abs(dlo - line) <= np.abs(dhi - line), lo, hi)
+            roots[at[~live]] = nearer[~live]
+            at, lo, hi, dlo, dhi, line = (v[live] for v in (at, lo, hi, dlo, dhi, line))
+        if not at.size:
+            return roots
         xs, ds = _refine(params, lo, hi, dlo, dhi)
         above = ds > line[:, None]
-        j = row + np.argmax(above != above[:, :1], axis=1)  # the last column is on the far side
+        # the last column is on the far side
+        j = np.arange(lo.size) * (ZOOM_WAYS + 1) + np.argmax(above != above[:, :1], axis=1)
         xs, ds = xs.ravel(), ds.ravel()
         lo, dlo, hi, dhi = xs[j - 1], ds[j - 1], xs[j], ds[j]
-    return np.where(np.abs(dlo - line) <= np.abs(dhi - line), lo, hi)
 
 
 def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTable:

@@ -390,10 +390,10 @@ def zoom_batch(params: ModelParams):
 
 
 class TestZoomCrossings:
-    """The crossing zoom samples every bracket every round, finished or
-    not; this holds because of the two facts below.  Sweep seed 1 set 190
-    has its bound-state edges where D is quantized: D steps by about 1e-6
-    between adjacent floats there."""
+    """A bracket's root does not depend on the batch it is zoomed in, nor
+    on the round it leaves it.  Sweep seed 1 set 190 has its bound-state
+    edges where D is quantized: D steps by about 1e-6 between adjacent
+    floats there."""
 
     @pytest.fixture(scope="class")
     def batches(self):

@@ -4,10 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+from checks import check_band_table, complete_positive_bands
 from inputs import oracle_sets, sweep_sets
 
-from diracband import cli, lyapunov_many
+from diracband import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "space.py"
 
@@ -41,36 +41,37 @@ def test_slice_lists_the_checks_the_cli_fails(tmp_path, capsys):
 
 
 def test_table_slice_matches_the_cli_artifacts(tmp_path, capsys):
-    # the first 45 sweep sets of seed 1: sets 38 and 41 hold a narrow band
-    # below the mass whose edge reads |D| - 2 above dispersion's 1e-9 window
+    # the first 45 sweep sets of seeds 1-3; in seed 1, sets 38 and 41 hold a
+    # narrow band below the mass whose edge reads |D| - 2 above dispersion's
+    # 1e-9 window
     out = tmp_path / "space.json"
-    subprocess.run([sys.executable, str(TOOL), str(out), "--sets", "0", "--tables", "45",
-                    "--table-seeds", "1"], check=True, capture_output=True, timeout=120)
+    subprocess.run([sys.executable, str(TOOL), str(out), "--sets", "0", "--tables", "45"],
+                   check=True, capture_output=True, timeout=120)
     sections = json.loads(out.read_text())
     assert list(sections) == ["tables"] and sections["tables"]["sets_per_seed"] == 45
+    assert list(sections["tables"]["seeds"]) == ["1", "2", "3"]
 
-    digest, row = hashlib.sha256(), {"tables": 0, "positive_edges": 0, "certificate": [],
+    digest, row = hashlib.sha256(), {"tables": 0, "positive_edges": 0, "band_table": {},
                                      "dispersion": [], "errors": []}
     for index, p in enumerate(sweep_sets(1)[:45]):
         window = [*p.cli_args(), "--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
         path = tmp_path / f"bands{index}.json"
         assert cli.main(["bands", *window, "--out", str(path)]) == cli.EXIT_OK
-        data = json.loads(path.read_text())["data"]
-        bands = [(b["e_lo"], b["e_hi"], b["kind"]) for b in data["bands"]]
-        digest.update(repr((tuple(data["edges"]), bands)).encode() + b"\n")
+        doc = json.loads(path.read_text())
+        bands = [(b["e_lo"], b["e_hi"], b["kind"]) for b in doc["data"]["bands"]]
+        digest.update(repr((tuple(doc["data"]["edges"]), bands)).encode() + b"\n")
         row["tables"] += 1
-        row["positive_edges"] += sum(e > 0 for e in data["edges"])
-        edges = np.array(data["edges"])
-        params = cli._model(cli.build_parser().parse_args(["bands", *window]))
-        if np.max(np.abs(np.abs(lyapunov_many(params, edges)) - 2.0)) > 10 * data["tol"]:
-            row["certificate"].append([1, index])
-        complete = [b for b in bands if b[2] == "allowed" and b[0] >= 0 and b[1] < data["e_max"]]
+        row["positive_edges"] += sum(e > 0 for e in doc["data"]["edges"])
+        cause, _ = check_band_table(p, doc)
+        if cause is not None:
+            row["band_table"].setdefault(cause, []).append([1, index])
         codes = [cli.main(["dispersion", *window, "--band-index", str(k), "--samples", "101",
-                           "--out", str(tmp_path / "k.csv")]) for k in range(len(complete))]
+                           "--out", str(tmp_path / "k.csv")])
+                 for k in range(len(complete_positive_bands(doc)))]
         if cli.EXIT_COMPUTATION in codes:
             row["dispersion"].append([1, index])
         assert set(codes) <= {cli.EXIT_OK, cli.EXIT_COMPUTATION}
     capsys.readouterr()
     row["sha256"] = digest.hexdigest()
-    assert sections["tables"]["seeds"] == {"1": row}
+    assert sections["tables"]["seeds"]["1"] == row
     assert row["dispersion"] == [[1, 38], [1, 41]]

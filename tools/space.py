@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Write correctness evidence over the benchmark's inputs to one JSON file.
 
-    python3 tools/space.py OUT [--src SRC] [--seeds 1-16] [--sets 64]
-                               [--tables N] [--table-seeds 1-3]
+    python3 tools/space.py OUT [--src SRC] [--seeds 1-16] [--sets 64] [--tables N]
 
 Two sections, each run in process and left out when its count is 0:
 
@@ -15,13 +14,14 @@ the calls that ran it and the (seed, set) ids of the calls it failed; a
 call that raises is listed under ``errors`` with its message.
 
 ``tables``: the band table of the first ``--tables`` sweep sets
-(``bench/inputs.sweep_sets``) of every seed of ``--table-seeds``, over
-|E| <= m + 5 as ``diracband bands --emin -e --emax e`` builds it.  Per seed
-it holds the table count, the positive edges, the ids whose table fails
-the benchmark's edge certificate (||D| - 2| > 10 tol at an edge), the ids
-where ``dispersion`` raises on a complete positive allowed band (one that
-ends below m + 5; 101 samples), the ids where ``band_edges`` raises, and
-a sha256 of every table's edges and bands at full precision.
+(``bench/inputs.sweep_sets``) of sweep seeds 1-3, over |E| <= m + 5 as
+``diracband bands --emin -e --emax e`` writes it.  Per seed it holds the
+table count, the positive edges, the ids whose table the benchmark's
+``checks.check_band_table`` fails, under its cause label (the edge
+certificate, mirror symmetry, missed edges), the ids where
+``dispersion`` raises on one of ``checks.complete_positive_bands`` (101
+samples), the ids where the table raises, and a sha256 of every table's
+edges and bands at full precision.
 
 The file is deterministic for one machine and BLAS build, and BLAS runs on
 one thread, as in the benchmark, so the files of two checkouts compare with
@@ -40,6 +40,10 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 ROOT = Path(__file__).resolve().parent.parent
+
+
+#: the sweep seeds of the tables section
+TABLE_SEEDS = [1, 2, 3]
 
 
 def seed_range(text: str) -> list[int]:
@@ -84,42 +88,42 @@ def verify_section(seeds: list[int], sets: int) -> dict:
     }
 
 
-def tables_section(seeds: list[int], sets: int) -> dict:
+def tables_section(sets: int) -> dict:
     import numpy as np
+    from checks import check_band_table, complete_positive_bands
     from diracband import bands, cli
     from diracband.errors import DiracBandError
     from inputs import sweep_sets
 
     cli_parser = cli.build_parser()
     out = {}
-    for seed in seeds:
+    for seed in TABLE_SEEDS:
         digest = hashlib.sha256()
-        row = {"tables": 0, "positive_edges": 0, "certificate": [], "dispersion": [], "errors": []}
+        row = {"tables": 0, "positive_edges": 0, "band_table": {}, "dispersion": [], "errors": []}
         for index, p in enumerate(sweep_sets(seed)[:sets]):
             window = ["--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
             args = cli_parser.parse_args(["bands", *p.cli_args(), *window])
             params = cli._model(args)
-            try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    table = cli._band_table(args, params)
-            except DiracBandError as exc:
-                row["errors"].append([seed, index, str(exc)])
-                continue
-            row["tables"] += 1
-            row["positive_edges"] += len(table.positive_edges)
-            digest.update(repr((table.edges, [(b.e_lo, b.e_hi, b.kind) for b in table.bands]))
-                          .encode() + b"\n")
-            edges = np.array(table.edges)
-            if edges.size and np.max(np.abs(np.abs(bands.lyapunov_many(params, edges)) - 2.0)) \
-                    > 10 * table.tol:
-                row["certificate"].append([seed, index])
-            for band in table.allowed_bands(positive_only=True):
-                if band.e_hi < table.e_max:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    doc = {"data": cli.cmd_bands(args, params)}
+                except DiracBandError as exc:
+                    row["errors"].append([seed, index, str(exc)])
+                    continue
+                cause, _ = check_band_table(p, doc)
+                for lo, hi in complete_positive_bands(doc):
                     try:
-                        bands.dispersion(params, band, 101)
+                        bands.dispersion(params, bands.Band(lo, hi, "allowed"), 101)
                     except DiracBandError:
                         row["dispersion"].append([seed, index])
                         break
+            data = doc["data"]
+            row["tables"] += 1
+            row["positive_edges"] += sum(e > 0 for e in data["edges"])
+            if cause is not None:
+                row["band_table"].setdefault(cause, []).append([seed, index])
+            table = [(b["e_lo"], b["e_hi"], b["kind"]) for b in data["bands"]]
+            digest.update(repr((tuple(data["edges"]), table)).encode() + b"\n")
         row["sha256"] = digest.hexdigest()
         out[str(seed)] = row
     return {"sets_per_seed": sets, "e_max": "m + 5", "seeds": out}
@@ -134,9 +138,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sets", type=int, default=64,
                         help="verify: oracle sets per seed, 0 for none (default 64)")
     parser.add_argument("--tables", type=int, default=0,
-                        help="tables: sweep sets per seed (default 0, none)")
-    parser.add_argument("--table-seeds", type=seed_range, default=seed_range("1-3"),
-                        help="tables: sweep seeds, A-B or one seed (default 1-3)")
+                        help="tables: sweep sets of seeds 1-3 each (default 0, none)")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
 
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
     if args.sets > 0:
         doc["verify"] = verify_section(args.seeds, args.sets)
     if args.tables > 0:
-        doc["tables"] = tables_section(args.table_seeds, args.tables)
+        doc["tables"] = tables_section(args.tables)
     elapsed = time.perf_counter() - start
     text = json.dumps(doc, indent=1, sort_keys=True)
     # one (seed, set) id a line
@@ -153,9 +155,9 @@ def main(argv=None) -> int:
         print(f"verify: {doc['verify']['calls']} calls, {doc['verify']['failed_calls']} failed")
     if "tables" in doc:
         rows = doc["tables"]["seeds"].values()
-        print(f"tables: {sum(r['tables'] for r in rows)} tables, "
-              + ", ".join(f"{k} {sum(len(r[k]) for r in rows)}"
-                          for k in ("certificate", "dispersion", "errors")))
+        failed = sum(len(ids) for r in rows for ids in r["band_table"].values())
+        print(f"tables: {sum(r['tables'] for r in rows)} tables, band_table {failed}, "
+              + ", ".join(f"{k} {sum(len(r[k]) for r in rows)}" for k in ("dispersion", "errors")))
     print(f"{elapsed:.1f} s")
     return 0
 
