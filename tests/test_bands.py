@@ -401,7 +401,7 @@ class TestZoomCrossings:
         return [(p, zoom_batch(p)) for p in (ModelParams(s.mass, s.gamma, s.half_period)
                                              for s in sets[1:31] + [sets[190]])]
 
-    def test_adjacent_floats_zoom_onto_themselves(self, batches):
+    def test_adjacent_floats_come_back_unchanged(self, batches):
         for params, (lo, hi, dlo, dhi, line) in batches:
             done = np.nextafter(lo, np.inf) == hi
             assert done.any() and not done.all(), params
