@@ -55,7 +55,6 @@ class Band:
 
 @dataclass(frozen=True)
 class BandTable:
-    params: ModelParams
     edges: tuple[float, ...]
     bands: tuple[Band, ...]
     e_max: float
@@ -124,15 +123,18 @@ def energy_grid(e_min: float, e_max: float, samples: int) -> np.ndarray:
 
 def lyapunov_trace(params: ModelParams, energies) -> np.ndarray:
     """D at every energy, as lyapunov_many, or DiracBandError at the first
-    energy where D is not finite: cosh(2a kap) overflows once 2a kap
-    passes about 709."""
+    energy where D is not finite: below the mass cosh(2a kap) overflows
+    once 2a kap passes about 709, above it E^2 once |E| passes about
+    1.34e154."""
     es = np.asarray(energies, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         ds = lyapunov_many(params, es)
     bad = np.flatnonzero(~np.isfinite(ds))
     if bad.size:
-        raise DiracBandError(f"D is not finite at E={float(es[bad[0]])}: cosh(2a kappa) "
-                             f"overflows at half-period {params.half_period}")
+        e = float(es[bad[0]])
+        cause = (f"cosh(2a kappa) overflows at half-period {params.half_period}"
+                 if abs(e) < params.mass else "E^2 overflows")
+        raise DiracBandError(f"D is not finite at E={e}: {cause}")
     return ds
 
 
@@ -262,7 +264,7 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
         for l, h, ok in zip(lo.tolist(), hi.tolist(), allowed.tolist())
         if h > l
     )
-    return BandTable(params, edges, bands, e_max, tol)
+    return BandTable(edges, bands, e_max, tol)
 
 
 def dispersion(params: ModelParams, band: Band, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -51,11 +51,11 @@ E^2 with 2k.  So runs of up to eight steps are composed once per call,
 on the coefficients and before any energy is seen, into one fused step.
 The loop runs in the frame T^-1 M T with T = diag(1, E), where all four
 entries are polynomials in E^2 (E D12 and D21 / E), so one matrix
-product of the coefficient rows of a few fused steps of every block with
-the powers of E^2 gives P(E), and X <- (X + P) + P X costs five array
-operations on the stacked 2x2 entries.  The diagonal entries are even in E and the off-diagonal
-ones odd, so M(-E) = sigma_z M(|E|) sigma_z holds exactly and only the
-distinct |E| are integrated.
+product of a fused step's coefficient rows in every block with the
+powers of E^2 gives P(E), and X <- (X + P) + P X costs five array
+operations on the stacked 2x2 entries.  The diagonal entries are even
+in E and the off-diagonal ones odd, so M(-E) = sigma_z M(|E|) sigma_z
+holds exactly and only the distinct |E| are integrated.
 """
 from __future__ import annotations
 
@@ -93,9 +93,6 @@ _BLOCK_ELEMENTS = 2**12
 #: 8.  Below 64 distinct |E| fewer steps are fused (see _propagate):
 #: there the composition costs more than it saves
 _FUSED = 8
-#: fused steps evaluated per matrix product; in the same runs 1 took 1.05
-#: and 4 1.03 of the time of 2
-_CHUNK = 2
 
 
 def det_drift(m11, m12, m21, m22):
@@ -125,8 +122,9 @@ def _work(name: str, shape: tuple) -> np.ndarray:
     passes of an oracle unit (glibc trims the top of its heap) and
     page-fault again on the next.  No value is ever read from one call
     by another.  The workspace holds its largest arrays until the thread
-    ends: about 2.7 MB after the benchmark's oracle units of seeds 1-3,
-    15 MB after passes of 32,000 steps at 40 energies.
+    ends: about 2.5 MB after the first four oracle units of bench seeds
+    1-3, 12 MB after all 64, 15 MB after passes of 32,000 steps at 40
+    energies.
     """
     size = math.prod(shape)
     buffer = getattr(_workspace, name, None)
@@ -199,11 +197,11 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     is seen, into one fused step I + P whose entries are polynomials in E
     (``_fuse_pairs``).  In the frame T^-1 M T, T = diag(1, E), all four
     entries are polynomials in E^2 of one length, so the coefficient rows
-    of ``_CHUNK`` fused steps of every block, (fused steps x entries x
-    blocks, powers), take one matrix product with the powers of E^2,
-    (powers, distinct |E|), and give P straight in the (blocks, energies)
-    layout of X.  X <- (X + P) + P X is accumulated in every block at once,
-    from X = 0; ``_ordered_product`` then multiplies the block matrices.
+    of one fused step in every block, (entries x blocks, powers), take
+    one matrix product with the powers of E^2, (powers, distinct |E|),
+    and give P straight in the (blocks, energies) layout of X.
+    X <- (X + P) + P X is accumulated in every block at once, from X = 0;
+    ``_ordered_product`` then multiplies the block matrices.
     A block matrix is I + X with X small, so X is carried: rounding 1 + X
     would lose X's low digits in every block alike, and the errors would
     add up over the blocks instead of averaging out.
@@ -214,11 +212,10 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
 
     Each distinct |E| is integrated once; M(-E) = sigma_z M(|E|) sigma_z
     is exact, and a repeated call returns the same bits, whatever ran
-    before it.  The BLAS picks
-    its kernel by the shape of the product and the place of a column in
-    it, so an energy's last bits may move with the number and values of
-    the other energies of the call (within 1e-14 of max(1, |D|) in the
-    tests).
+    before it.  The BLAS picks its kernel by the shape of the product
+    and the place of a column in it, so an energy's last bits may move
+    with the number and values of the other energies of the call (within
+    1e-14 of max(1, |D|) in the tests).
 
     Returns the four matrix entries as arrays shaped like ``energies``.
     """
@@ -274,20 +271,17 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
 
     x = _work("x", (2, 2, n_blocks, e.size))
     x.fill(0.0)
+    step = _work("step", x.shape)
     px, term = _work("px", (2,) + x.shape)
-    slabs = _work("slabs", (_CHUNK,) + x.shape)
-    for start in range(0, n_fused, _CHUNK):
-        rows = coefficients[start:start + _CHUNK].reshape(-1, n_powers)
-        chunk = slabs[:min(_CHUNK, n_fused - start)]
-        # (fused steps x entries x blocks, powers) @ (powers, energies)
-        np.matmul(rows, powers, out=chunk.reshape(len(rows), e.size))
-        for step in chunk:
-            # X <- (X + P) + P X, (PX)ij = Pi1 X1j + Pi2 X2j
-            np.multiply(step[:, :1], x[:1], out=px)
-            np.multiply(step[:, 1:], x[1:], out=term)
-            px += term
-            x += step
-            x += px
+    for rows in coefficients.reshape(n_fused, -1, n_powers):
+        # (entries x blocks, powers) @ (powers, energies)
+        np.matmul(rows, powers, out=step.reshape(len(rows), e.size))
+        # X <- (X + P) + P X, (PX)ij = Pi1 X1j + Pi2 X2j
+        np.multiply(step[:, :1], x[:1], out=px)
+        np.multiply(step[:, 1:], x[1:], out=term)
+        px += term
+        x += step
+        x += px
     (x11, x12), (x21, x22) = _ordered_product(x)
     # back from T^-1 X T, whose X12 is E X12: at E = 0 it is exactly 0,
     # and so is X12

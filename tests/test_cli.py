@@ -476,6 +476,16 @@ class TestValidation:
         assert code == 2 and not path.exists()
         assert "D is not finite at E=0.0" in capsys.readouterr().err
 
+    def test_overflowing_energy_is_a_computation_error(self, tmp_path, capsys):
+        # above the mass there is no cosh: D is finite up to |E| ~ 1.34e154,
+        # and past it E^2 overflows
+        path = tmp_path / "out"
+        code = cli.main(["lyapunov", "--emin", "0", "--emax", "1e160", "--samples", "5",
+                         "--out", str(path)])
+        assert code == 2 and not path.exists()
+        err = capsys.readouterr().err
+        assert "D is not finite at E=2.5e+159: E^2 overflows" in err and "cosh" not in err
+
     @pytest.mark.parametrize("argv,expected", [
         (["verify", "--mass", "100", "--gamma", "50", "--half-period", "50"], 2),
         (["potential", "--half-period", "300"], 0),

@@ -51,8 +51,10 @@ def test_table_slice_matches_the_cli_artifacts(tmp_path, capsys):
     assert list(sections) == ["tables"] and sections["tables"]["sets_per_seed"] == 45
     assert list(sections["tables"]["seeds"]) == ["1", "2", "3"]
 
+    # set 41's count of positive edges changes with a 64-way zoom (ROADMAP item 5)
     digest, row = hashlib.sha256(), {"tables": 0, "positive_edges": 0, "band_table": {},
-                                     "dispersion": [], "errors": []}
+                                     "dispersion": [], "edge_count_64_way": [[1, 41]],
+                                     "errors": []}
     for index, p in enumerate(sweep_sets(1)[:45]):
         window = [*p.cli_args(), "--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
         path = tmp_path / f"bands{index}.json"

@@ -20,8 +20,10 @@ table count, the positive edges, the ids whose table the benchmark's
 ``checks.check_band_table`` fails, under its cause label (the edge
 certificate, mirror symmetry, missed edges), the ids where
 ``dispersion`` raises on one of ``checks.complete_positive_bands`` (101
-samples), the ids where the table raises, and a sha256 of every table's
-edges and bands at full precision.
+samples), the ids whose count of positive edges changes when the zoom
+splits its brackets 64 ways instead of ``bands.ZOOM_WAYS`` = 16 (D's
+noise, ROADMAP item 5), the ids where the table raises, and a sha256 of
+every table's edges and bands at full precision.
 
 The file is deterministic for one machine and BLAS build, and BLAS runs on
 one thread, as in the benchmark, so the files of two checkouts compare with
@@ -88,6 +90,21 @@ def verify_section(seeds: list[int], sets: int) -> dict:
     }
 
 
+def positive_edges_64_way(params, e_max: float) -> int:
+    """The positive edge count of ``band_edges`` with a 64-way zoom: the
+    zoom reads ``bands.ZOOM_WAYS`` and ``bands._FRACTIONS`` at call time,
+    so they are swapped for the call and put back."""
+    import numpy as np
+    from diracband import bands
+
+    saved = bands.ZOOM_WAYS, bands._FRACTIONS
+    bands.ZOOM_WAYS, bands._FRACTIONS = 64, np.arange(1, 64) / 64
+    try:
+        return len(bands.band_edges(params, e_max=e_max).positive_edges)
+    finally:
+        bands.ZOOM_WAYS, bands._FRACTIONS = saved
+
+
 def tables_section(sets: int) -> dict:
     import numpy as np
     from checks import check_band_table, complete_positive_bands
@@ -99,7 +116,8 @@ def tables_section(sets: int) -> dict:
     out = {}
     for seed in TABLE_SEEDS:
         digest = hashlib.sha256()
-        row = {"tables": 0, "positive_edges": 0, "band_table": {}, "dispersion": [], "errors": []}
+        row = {"tables": 0, "positive_edges": 0, "band_table": {}, "dispersion": [],
+               "edge_count_64_way": [], "errors": []}
         for index, p in enumerate(sweep_sets(seed)[:sets]):
             window = ["--emin", repr(-p.e_max), "--emax", repr(p.e_max)]
             args = cli_parser.parse_args(["bands", *p.cli_args(), *window])
@@ -117,9 +135,12 @@ def tables_section(sets: int) -> dict:
                     except DiracBandError:
                         row["dispersion"].append([seed, index])
                         break
-            data = doc["data"]
+                data = doc["data"]
+                positive = sum(e > 0 for e in data["edges"])
+                if positive_edges_64_way(params, p.e_max) != positive:
+                    row["edge_count_64_way"].append([seed, index])
             row["tables"] += 1
-            row["positive_edges"] += sum(e > 0 for e in data["edges"])
+            row["positive_edges"] += positive
             if cause is not None:
                 row["band_table"].setdefault(cause, []).append([seed, index])
             table = [(b["e_lo"], b["e_hi"], b["kind"]) for b in data["bands"]]
