@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiracBandError, NotAllowedBand, ScanWindowTooWide
-from .soliton import ModelParams, free_pair, pole_differences
+from .soliton import ModelParams, free_pair, pole_differences, pole_window
 
 #: the trace labels |E^2 - m^2| below this times m^2 as the regime "limit"
 DEGENERATE_EPS = 1e-9
@@ -80,8 +80,7 @@ def lyapunov_many(params: ModelParams, energies) -> np.ndarray:
     q = e * e - m * m
     c, s = free_pair(q, two_a)
 
-    shifted = q + g * g
-    near = np.abs(shifted) < 0.1 * g * g
+    shifted, near = pole_window(q, g)
     tail = alpha * c + beta * s
     if np.count_nonzero(near):
         np.divide(tail, shifted, out=tail, where=~near)
@@ -224,14 +223,15 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     points in one lyapunov_many call.  The scan runs on the positive axis
     and is mirrored, so the table is exactly E -> -E symmetric.
 
-    Raises ScanWindowTooWide (a ValueError) before the scan when it would
-    sample more than MAX_SCAN_POINTS energies, and DiracBandError where D
-    is not finite on the scan.
+    Raises ValueError unless e_max > 0 and 0 < tol < inf,
+    ScanWindowTooWide (a ValueError) before the scan when it would sample
+    more than MAX_SCAN_POINTS energies, and DiracBandError where D is not
+    finite on the scan.
     """
-    if e_max <= 0:
-        raise ValueError("e_max must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not e_max > 0:
+        raise ValueError(f"e_max must be positive, got {e_max}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     step = math.pi / (SCAN_DENSITY * params.half_period)
     if e_max / step + 3.0 > MAX_SCAN_POINTS:  # in floats: e_max may be 1e308
         raise ScanWindowTooWide(f"|E| up to {e_max} needs more than {MAX_SCAN_POINTS} edge-scan "

@@ -44,18 +44,19 @@ One RK4 step is I + D, where D is a polynomial in E whose coefficients
 depend only on the step's h and its samples of m+S at x, x+h/2 and x+h:
 the diagonal entries are c0 + c2 E^2 + c4 E^4, the off-diagonal ones
 E (c1 + c3 E^2).  This is the same four-stage map, regrouped exactly
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  Products of such
-maps keep the form: over k steps the diagonal entries are polynomials in
-E^2 with 2k+1 coefficients, the off-diagonal ones E times polynomials in
-E^2 with 2k.  So runs of up to eight steps are composed once per call,
-on the coefficients and before any energy is seen, into one fused step.
-The loop runs in the frame T^-1 M T with T = diag(1, E), where all four
-entries are polynomials in E^2 (E D12 and D21 / E), so one matrix
-product of a fused step's coefficient rows in every block with the
-powers of E^2 gives P(E), and X <- (X + P) + P X costs five array
-operations on the stacked 2x2 entries.  The diagonal entries are even
-in E and the off-diagonal ones odd, so M(-E) = sigma_z M(|E|) sigma_z
-holds exactly and only the distinct |E| are integrated.
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  The oracle
+writes each step in the frame T^-1 M T with T = diag(1, E), where all
+four entries are polynomials in t = E^2: E D12 = t (c1 + c3 t) and
+D21 / E = c1 + c3 t.  Products of such maps keep the form and multiply
+there by the plain 2x2 rule: over k steps every entry has 2k+1
+coefficients, entry 12's first and entry 21's last zero.  So runs of up
+to eight steps are composed once per call, on the coefficients and
+before any energy is seen, into one fused step, and one matrix product
+of a fused step's coefficient rows in every block with the powers of
+E^2 gives P(E); X <- (X + P) + P X costs five array operations on the
+stacked 2x2 entries.  The diagonal entries are even in E and the
+off-diagonal ones odd, so M(-E) = sigma_z M(|E|) sigma_z holds exactly
+and only the distinct |E| are integrated.
 """
 from __future__ import annotations
 
@@ -146,26 +147,25 @@ def _add_product(out, p, q):
 
 def _fuse_pairs(f):
     """Compose step maps pairwise: positions 2i (first, A) and 2i+1
-    (second, B) along axis 2 of f, shaped (4, L, positions, groups),
+    (second, B) along axis 3 of f, shaped (2, 2, L, positions, groups),
     become one map I + P with P = A + B + BA, shaped
-    (4, 2L-1, positions/2, groups).
+    (2, 2, 2L-1, positions/2, groups).
 
-    Axis 0 holds the entries 11, 22, 12, 21 as polynomials in t = E^2
-    along axis 1; the off-diagonal entries are E times their polynomial,
-    whose last coefficient is zero, so a product of two of them is t
-    times the product of the polynomials.
+    Axes 0 and 1 hold row and column in the frame T^-1 P T, where every
+    entry is a polynomial in t = E^2 along axis 2; entry 12 is t times a
+    polynomial, so its first coefficient is zero, and entry 21's last is.
+    Row i of BA is B_ii A_i + B_ik A_k, with A_i the rows of A, and the
+    off-diagonal factor B_ik enters without its zero coefficient.
     """
-    a, b = f[:, :, 0::2], f[:, :, 1::2]
-    n = f.shape[1]
-    fused = _work(f"fused{n}", (4, 2 * n - 1) + a.shape[2:])
-    np.add(a, b, out=fused[:, :n])
-    fused[:, n:] = 0.0
-    # (BA)11 = B11 A11 + t B12 A21, (BA)22 = B22 A22 + t B21 A12
-    _add_product(fused[:2], b[:2], a[:2])
-    _add_product(fused[:2, 1:], b[2:, :-1], a[3:1:-1, :-1])
-    # (BA)12 = B11 A12 + B12 A22, (BA)21 = B22 A21 + B21 A11
-    _add_product(fused[2:], b[:2], a[2:, :-1])
-    _add_product(fused[2:], b[2:, :-1], a[1::-1])
+    a, b = f[:, :, :, 0::2], f[:, :, :, 1::2]
+    n = f.shape[2]
+    fused = _work(f"fused{n}", (2, 2, 2 * n - 1) + a.shape[3:])
+    np.add(a, b, out=fused[:, :, :n])
+    fused[:, :, n:] = 0.0
+    _add_product(fused[0], b[0, :1], a[0])
+    _add_product(fused[0, :, 1:], b[0, 1:, 1:], a[1])
+    _add_product(fused[1], b[1, 1:], a[1])
+    _add_product(fused[1], b[1, :1, :-1], a[0])
     return fused
 
 
@@ -193,13 +193,14 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     distinct |E| up, fewer below), and the groups into ``n_blocks`` blocks
     of ``n_fused``; the steps past the grid's end get coefficients that
     are all zero, so they map to the identity exactly.
-    The steps of each group are composed once per call, before any energy
-    is seen, into one fused step I + P whose entries are polynomials in E
-    (``_fuse_pairs``).  In the frame T^-1 M T, T = diag(1, E), all four
-    entries are polynomials in E^2 of one length, so the coefficient rows
-    of one fused step in every block, (entries x blocks, powers), take
-    one matrix product with the powers of E^2, (powers, distinct |E|),
-    and give P straight in the (blocks, energies) layout of X.
+    Each step's coefficients are written in the frame T^-1 M T,
+    T = diag(1, E), where all four entries are polynomials in E^2 of one
+    length, stacked (row, column) like X.  The steps of each group are
+    composed there once per call, before any energy is seen, into one
+    fused step I + P (``_fuse_pairs``), so the coefficient rows of one
+    fused step in every block, (entries x blocks, powers), take one
+    matrix product with the powers of E^2, (powers, distinct |E|), and
+    give P straight in the (blocks, energies) layout of X.
     X <- (X + P) + P X is accumulated in every block at once, from X = 0;
     ``_ordered_product`` then multiplies the block matrices.
     A block matrix is I + X with X small, so X is carried: rounding 1 + X
@@ -235,38 +236,33 @@ def _propagate(potential: Callable, m: float, energies, xs: np.ndarray):
     n_fused = -(-groups // n_blocks)
     n_blocks = -(-groups // n_fused)
 
-    # 24 times one step's coefficients: c0, c2, c4 of each diagonal entry,
-    # c1, c3 of each off-diagonal one (module docstring)
+    # 24 times one step's coefficients in the frame T^-1 P T, (row,
+    # column): c0, c2, c4 on the diagonal, 0, c1, c3 in entry 12 (E P12)
+    # and c1, c3, 0 in entry 21 (P21 / E); module docstring
     s0, sm, s1 = s_node[:-1], s_half, s_node[1:]
     h2 = h * h
     p, q, eta, delta = h * (s0 + s1), h2 * s0 * s1, h * sm, h * (s0 - s1)
     mu = eta * eta
     even, odd = q * mu + 4.0 * eta * p + 4.0 * mu, 2.0 * p * mu + 4.0 * p + 16.0 * eta
-    by_step = _work("by_step", (4, 3, n_blocks * n_fused * fused))
+    by_step = _work("by_step", (2, 2, 3, n_blocks * n_fused * fused))
     # zero where nothing is written below: the padded steps, and the
-    # off-diagonal entries' third coefficient
-    by_step[:, :, steps:] = 0.0
-    by_step[2:, 2] = 0.0
-    by_step[0, :, :steps] = even + odd, -h2 * (q + mu + 12.0 + 2.0 * p), h2 * h2
-    by_step[1, :, :steps] = even - odd, -h2 * (q + mu + 12.0 - 2.0 * p), h2 * h2
-    by_step[2, :2, :steps] = h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0), -h2 * h * (delta - 4.0)
-    by_step[3, :2, :steps] = h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0), -h2 * h * (delta + 4.0)
-    # (entry, coefficient, position in group, group), groups block-major
+    # structural zeros of the off-diagonal entries
+    by_step[:, :, :, steps:] = 0.0
+    by_step[0, 1, 0] = by_step[1, 0, 2] = 0.0
+    by_step[0, 0, :, :steps] = even + odd, -h2 * (q + mu + 12.0 + 2.0 * p), h2 * h2
+    by_step[1, 1, :, :steps] = even - odd, -h2 * (q + mu + 12.0 - 2.0 * p), h2 * h2
+    by_step[0, 1, 1:, :steps] = h * (delta * mu + 4.0 * delta - 4.0 * mu - 24.0), -h2 * h * (delta - 4.0)
+    by_step[1, 0, :2, :steps] = h * (delta * mu + 4.0 * delta + 4.0 * mu + 24.0), -h2 * h * (delta + 4.0)
     by_step /= 24.0
-    f = _work("by_group", (4, 3, fused, by_step.shape[2] // fused))
-    np.copyto(f, by_step.reshape(4, 3, -1, fused).transpose(0, 1, 3, 2))
-    while f.shape[2] > 1:
+    # (row, column, coefficient, position in group, group), groups block-major
+    f = _work("by_group", (2, 2, 3, fused, by_step.shape[3] // fused))
+    np.copyto(f, by_step.reshape(2, 2, 3, -1, fused).transpose(0, 1, 2, 4, 3))
+    while f.shape[3] > 1:
         f = _fuse_pairs(f)
     n_powers = 2 * fused + 1
-    # (entry, fused step, block, power), entries 11, 22, 12, 21
-    f = f.reshape(4, n_powers, n_blocks, n_fused).transpose(0, 3, 2, 1)
-    # (fused step, entry, block, power), entries 11, 12, 21, 22, in the
-    # frame T^-1 P T: E P12 = t Q12 takes Q12's coefficients one power up
-    # (its last is zero), P21 / E = Q21 keeps them
-    coefficients = _work("coefficients", (n_fused, 4, n_blocks, n_powers))
-    coefficients[:, 0], coefficients[:, 2], coefficients[:, 3] = f[0], f[3], f[1]
-    coefficients[:, 1, :, 0] = 0.0
-    coefficients[:, 1, :, 1:] = f[2, :, :, :-1]
+    # (fused step, row, column, block, power)
+    coefficients = _work("coefficients", (n_fused, 2, 2, n_blocks, n_powers))
+    np.copyto(coefficients, f.reshape(2, 2, n_powers, n_blocks, n_fused).transpose(4, 0, 1, 3, 2))
     powers = (e * e) ** np.arange(n_powers)[:, None]
 
     x = _work("x", (2, 2, n_blocks, e.size))

@@ -43,18 +43,11 @@ def _check_positive_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameter set: mass, soliton steepness, half-period.
-
-    ``alpha_override`` replaces the derived asymmetry parameter.  Nothing in
-    the package sets it: the tests do, to build mirrored or even variants and
-    to confirm that ``verify``'s checks notice a corrupted alpha.  It should
-    stay None in normal use.
-    """
+    """Physical parameter set: mass, soliton steepness, half-period."""
 
     mass: float
     gamma: float
     half_period: float
-    alpha_override: float | None = None
     #: the discriminant's alpha, beta, 2a and 2(w1(a) + w2(a)) (bands), as Python floats
     discriminant: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -85,8 +78,6 @@ class ModelParams:
 
     @property
     def alpha(self) -> float:
-        if self.alpha_override is not None:
-            return self.alpha_override
         return 0.25 * math.log((self.mass - self.gamma) / (self.mass + self.gamma))
 
     @property
@@ -164,6 +155,14 @@ def pole_differences(gamma: float, q, x):
     return dc, ds
 
 
+def pole_window(q, gamma: float):
+    """q + gamma^2 and where |q + gamma^2| < gamma^2/10: the window about
+    the removable pole at q = -gamma^2 in which U and D are evaluated
+    through pole_differences.  q is an array."""
+    shifted = q + gamma * gamma
+    return shifted, np.abs(shifted) < 0.1 * gamma * gamma
+
+
 def basis_spinors(params: ModelParams, energy, x):
     """The columns (psi, phi) of U(x; E) = Phi(x) Phi(0)^-1, the solutions
     with psi(0) = (1, 0) and phi(0) = (0, 1); W(psi, phi) = det U = 1.
@@ -177,8 +176,7 @@ def basis_spinors(params: ModelParams, energy, x):
     q = e * e - m * m
     x = np.asarray(x, dtype=float)
     c, s = free_pair(q, x)
-    d = q + g**2
-    near = np.abs(d) < 0.1 * g * g
+    d, near = pole_window(q, g)
     if near.any():
         dc, ds = pole_differences(g, np.where(near, q, -g * g), x)
         c, s, d = np.where(near, dc, c), np.where(near, ds, s), np.where(near, 1.0, d)

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,23 @@ def canonical() -> ModelParams:
 def steep() -> ModelParams:
     """Alternative nodeless seed parameters (gamma given directly)."""
     return ModelParams(mass=2.0, gamma=1.0, half_period=1.0)
+
+
+@dataclass(frozen=True)
+class _FixedAlpha(ModelParams):
+    fixed_alpha: float = 0.0
+
+    @property
+    def alpha(self) -> float:
+        return self.fixed_alpha
+
+
+def with_alpha(params, alpha: float) -> ModelParams:
+    """The model of ``params`` (mass, gamma, half_period) with ``alpha`` in
+    place of its derived asymmetry parameter, the discriminant's constants
+    included: mirrored (-alpha) or even (0) variants, and a corrupted alpha
+    that verify's checks must notice."""
+    return _FixedAlpha(params.mass, params.gamma, params.half_period, alpha)
 
 
 def floquet_multipliers(discriminant: float) -> FloquetPair:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from conftest import (
     floquet_multipliers,
     reference_lyapunov_many,
     reference_refine,
+    with_alpha,
 )
 from inputs import sweep_sets
 
@@ -64,7 +64,7 @@ class TestLyapunov:
         # the model's constants are its own, whichever model is evaluated first
         es = np.linspace(-7.0, 7.0, 141)
         params = ModelParams(canonical.mass, canonical.gamma, canonical.half_period)
-        shifted = dataclasses.replace(params, alpha_override=1.1 * params.alpha)
+        shifted = with_alpha(params, 1.1 * params.alpha)
         first, second = (shifted, params) if override_first else (params, shifted)
         d_first, d_second = lyapunov_many(first, es), lyapunov_many(second, es)
         assert not np.array_equal(d_first, d_second)
@@ -260,6 +260,14 @@ class TestBandEdges:
             band_edges(canonical, e_max=7.0, tol=0.0)
         with pytest.raises(ValueError, match="edge-scan points"):
             band_edges(canonical, e_max=1e308)
+        # a NaN e_max failed inside numpy, on the scan's point count
+        with pytest.raises(ValueError, match="^e_max must be positive"):
+            band_edges(canonical, e_max=math.nan)
+        # an infinite tol stopped every extremum zoom after one round, and a
+        # NaN one made every tol comparison false; both returned a table
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tol must be positive and finite"):
+                band_edges(canonical, e_max=7.0, tol=tol)
 
 
 class TestDispersion:
@@ -344,6 +352,39 @@ class TestFreeLimit:
             b for b in table.bands if b.kind == "allowed" and b.e_hi > params.mass
         ]
         assert sum(b.e_hi - max(b.e_lo, params.mass) for b in allowed_above) > 4.9
+
+
+class TestLimitLaws:
+    """The two ends of the m a axis, in units of m (ROADMAP item 15)."""
+
+    @pytest.mark.parametrize("mass,gamma", [(2.0, 1.0), (2.0, 1.9), (1.0, 0.3)])
+    def test_narrow_cell_tends_to_a_free_particle(self, mass, gamma):
+        # across a cell much narrower than 1/gamma, S is about s1(0) = -2(m - lam):
+        # the lowest positive edge tends to the free mass |2 lam - m|, like a^2
+        lam = math.sqrt(mass * mass - gamma * gamma)
+        gaps = []
+        for ma in (0.2, 0.02, 0.002):
+            table = band_edges(ModelParams(mass, gamma, ma / mass), e_max=mass + 5.0)
+            gaps.append(abs(table.positive_edges[0] - abs(2.0 * lam - mass)) / mass)
+        ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+        assert all(abs(r / 100.0 - 1.0) < 0.05 for r in ratios), ratios
+
+    @pytest.mark.parametrize("mass,gamma", [(2.0, 1.0), (2.0, 1.9), (1.0, 0.3), (4.0, 1.0)])
+    def test_wide_cell_bound_state_band_shrinks_like_the_overlap(self, mass, gamma):
+        # the band at lam is the overlap of neighbouring cells' bound states:
+        # width(a + delta) / width(a) -> exp(-2 gamma delta)
+        lam = math.sqrt(mass * mass - gamma * gamma)
+
+        def width(a):
+            table = band_edges(ModelParams(mass, gamma, a), e_max=mass + 5.0)
+            (band,) = (b for b in table.allowed_bands() if b.e_lo < lam < b.e_hi)
+            return band.e_hi - band.e_lo
+
+        delta = 0.25 / gamma
+        for two_ga in (8.0, 12.0, 16.0, 20.0):
+            a = two_ga / (2.0 * gamma)
+            off = abs(width(a + delta) / width(a) * math.exp(2.0 * gamma * delta) - 1.0)
+            assert off < (2e-3 if two_ga < 12.0 else 5e-5), (two_ga, off)
 
 
 class TestReferenceBits:

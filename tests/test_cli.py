@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import count_crossings
+from conftest import count_crossings, with_alpha
 from diracband import ModelParams, band_edges, cli, lyapunov_many, potential_s1
 from diracband.errors import StepCountTooSmall
 from diracband.verify import REFERENCE_EDGES
@@ -410,9 +410,7 @@ class TestVerifyCommand:
         run_verification = cli.verify.run_verification
 
         def corrupted(params, **kwargs):
-            wrong = ModelParams(params.mass, params.gamma, params.half_period,
-                                alpha_override=1.1 * params.alpha)
-            return run_verification(wrong, **kwargs)
+            return run_verification(with_alpha(params, 1.1 * params.alpha), **kwargs)
 
         monkeypatch.setattr(cli.verify, "run_verification", corrupted)
         path = tmp_path / "report.json"

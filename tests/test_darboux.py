@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import free_field, fundamental_matrix
+from conftest import free_field, fundamental_matrix, with_alpha
 from diracband import (
-    ModelParams,
     darboux,
     hamiltonian_residual,
     intertwining_check,
@@ -30,7 +29,7 @@ class TestTransformedPotential:
 
     def test_identical_components_cancel(self, canonical):
         # alpha = 0 makes u11 = u21 = cosh(gamma x): w1 = w2 and s1 = 0
-        even = ModelParams(canonical.mass, canonical.gamma, canonical.half_period, alpha_override=0.0)
+        even = with_alpha(canonical, 0.0)
         assert np.all(transformed_potential(even, np.array([-1.2, 0.0, 0.7])) == 0.0)
 
 

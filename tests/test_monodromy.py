@@ -374,6 +374,18 @@ class TestStepDoubling:
         assert counts(passes) == [1000, 2000, 4000, 8000, 16000, 32000]
         assert abs(d[0] - lyapunov_many(DEEP, [DEEP_EDGE])[0]) < 1e-5
 
+    @pytest.mark.xfail(strict=True, raises=StepCountTooSmall, reason=(
+        "ROADMAP item 10: at E = +-lambda of this wide cell max|M_ij| is about 9e30, and the "
+        "rounding of the block grouping drifts det M by 5.83e-06 at the 32000-step cap"))
+    def test_wide_cell_edges_are_answered(self):
+        # the edges of m = 2, gamma = 1, a = 50 over |E| <= 7, as literals, so that no change
+        # to band_edges moves this call: the bound-state band is narrower than a float there,
+        # and its two edges coincide
+        params = ModelParams(mass=2.0, gamma=1.0, half_period=50.0)
+        es = np.array([-2.0, -1.732050807568875, 1.732050807568875, 2.0])
+        d = lyapunov_numeric_many(periodized_potential(params), params.mass, es, params.half_period)
+        assert np.isfinite(d).all()
+
     def test_cap_is_respected_without_raising(self, passes, monkeypatch):
         monkeypatch.setattr(monodromy, "MAX_STEPS", 12000)
         e = np.array([DEEP_EDGE])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fundamental_matrix
+from conftest import fundamental_matrix, with_alpha
 from diracband import (
     ModelParams,
     basis_spinors,
@@ -128,10 +128,7 @@ class TestWFunctions:
         assert w2 == pytest.approx(-g, abs=1e-12)
 
     def test_alpha_sign_swap(self, canonical):
-        flipped = ModelParams(
-            canonical.mass, canonical.gamma, canonical.half_period,
-            alpha_override=-canonical.alpha,
-        )
+        flipped = with_alpha(canonical, -canonical.alpha)
         xs = np.linspace(-2, 2, 17)
         w1, _ = w_functions(canonical, xs)
         _, w2f = w_functions(flipped, xs)
@@ -248,13 +245,13 @@ class TestBasisSpinors:
     def test_corrupted_alpha_fails_wronskian_check(self):
         for p in oracle_sets(1):  # the canonical set and 63 seeded ones
             alpha = ModelParams(p.mass, p.gamma, p.half_period).alpha
-            bad = ModelParams(p.mass, p.gamma, p.half_period, alpha_override=1.1 * alpha)
+            bad = with_alpha(p, 1.1 * alpha)
             assert not check_wronskian_unity(bad).passed, p
 
     def test_corrupted_alpha_fails_darboux_checks(self):
         for p in oracle_sets(1):
             alpha = ModelParams(p.mass, p.gamma, p.half_period).alpha
-            bad = ModelParams(p.mass, p.gamma, p.half_period, alpha_override=1.1 * alpha)
+            bad = with_alpha(p, 1.1 * alpha)
             assert not check_intertwining(bad).passed, p
             assert not check_darboux_consistency(bad).passed, p
 
