@@ -218,10 +218,11 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
     narrower than ``tol`` may read as closed.  Every sign change of D - 2
     and of D + 2 along the samples is then zoomed down to two adjacent
     floats, and the edge is the one nearer the line; edges are exact to a
-    float whatever ``tol``.  Each interval takes its kind from |D| at its
-    midpoint.  All brackets of a zoom step are sampled at ZOOM_WAYS - 1
-    points in one lyapunov_many call.  The scan runs on the positive axis
-    and is mirrored, so the table is exactly E -> -E symmetric.
+    float whatever ``tol``.  The interval about E = 0 is a gap when
+    D(0) > 2, and every edge flips the kind.  All brackets of a zoom step
+    are sampled at ZOOM_WAYS - 1 points in one lyapunov_many call.  The
+    scan runs on the positive axis and is mirrored, so the table is
+    exactly E -> -E symmetric.
 
     Raises ValueError unless e_max > 0 and 0 < tol < inf,
     ScanWindowTooWide (a ValueError) before the scan when it would sample
@@ -256,14 +257,11 @@ def band_edges(params: ModelParams, e_max: float, tol: float = 1e-6) -> BandTabl
 
     pos = tuple(r for r in np.sort(roots).tolist() if 0.0 < r <= e_max)
     edges = tuple(-r for r in reversed(pos)) + pos
-    bounds = np.array((-e_max,) + edges + (e_max,), dtype=float)
-    lo, hi = bounds[:-1], bounds[1:]
-    allowed = np.abs(lyapunov_many(params, 0.5 * (lo + hi))) < 2.0
-    bands = tuple(
-        Band(l, h, "allowed" if ok else "forbidden")
-        for l, h, ok in zip(lo.tolist(), hi.tolist(), allowed.tolist())
-        if h > l
-    )
+    bounds = (-float(e_max),) + edges + (float(e_max),)
+    # interval len(pos) holds E = 0 (ds[0] is still D(0)); every edge flips the kind
+    kinds = ("forbidden", "allowed") if ds[0] > 2.0 else ("allowed", "forbidden")
+    bands = tuple(Band(l, h, kinds[(j - len(pos)) % 2])
+                  for j, (l, h) in enumerate(zip(bounds, bounds[1:])) if h > l)
     return BandTable(edges, bands, e_max, tol)
 
 

@@ -8,7 +8,8 @@ BLAS build (the oracle evaluates its step polynomials by matrix
 products, whose last bits may differ on another CPU or BLAS, and with
 the other energies of the call); numbers are written with 12
 significant digits, except the band table's energies (edges, band
-bounds, e_max), which are written at round-trip precision.
+bounds, e_max, verification[].edge) and each verify check's residual
+and threshold, which are written at round-trip precision.
 
 Exit codes: 0 success, 1 validation failure, 2 computation error,
 3 verification failure.

@@ -11,7 +11,7 @@ from conftest import (
     reference_refine,
     with_alpha,
 )
-from inputs import sweep_sets
+from inputs import oracle_sets, sweep_sets
 
 from diracband import (
     Band,
@@ -27,7 +27,7 @@ from diracband import (
 )
 from diracband import bands
 from diracband.bands import energy_grid
-from diracband.verify import REFERENCE_EDGES
+from diracband.verify import E_MAX, REFERENCE_EDGES, check_band_structure
 
 # ninth |D| = 2 energy below 7, beyond the eight reference values; located
 # by bisection and confirmed by the monodromy integrator (both give
@@ -117,6 +117,19 @@ class TestLyapunov:
         integral = np.trapezoid(2.0 + potential_s1(canonical, xs), xs)
         d0 = float(lyapunov_many(canonical, np.array([0.0]))[0])
         assert abs(d0 - 2.0 * math.cosh(integral)) < 1e-5
+
+    def test_zero_energy_closed_form(self):
+        # at E = 0 the system decouples and D(0) = 2 cosh of the integral of
+        # m + s1 = m + w2 - w1 over the cell, >= 2: band_edges takes the kind
+        # of the interval about E = 0 from it
+        rng = np.random.default_rng(27)
+        for _ in range(500):
+            m = 10.0 ** rng.uniform(-2.0, 2.0)
+            a = 10.0 ** rng.uniform(-2.0, math.log10(3.0)) / m
+            params = ModelParams(m, m * rng.uniform(0.01, 0.99), a)
+            ga, al = params.gamma * a, params.alpha
+            expected = 2.0 * math.cosh(2.0 * a * m + 2.0 * math.log(math.cosh(ga + al) / math.cosh(ga - al)))
+            assert lyapunov(params, 0.0) == pytest.approx(expected, rel=1e-12, abs=0.0), params
 
     def test_removable_point_at_bound_state_energy(self, canonical):
         around = lyapunov(canonical, 1.0 + 1e-6)
@@ -268,6 +281,56 @@ class TestBandEdges:
         for tol in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^tol must be positive and finite"):
                 band_edges(canonical, e_max=7.0, tol=tol)
+
+
+# bench sets whose table holds a gap under 5e-9 wide above the mass, where
+# D's rounding may read |D| < 2 at the gap's midpoint: (inputs, seed, set,
+# window, the gap's lower edge); a window of None is the set's m + 5
+SLIVER_GAPS = {
+    "oracle-8-33-E_MAX": (oracle_sets, 8, 33, E_MAX, 5.7540452),
+    "oracle-8-33": (oracle_sets, 8, 33, None, 5.7540452),
+    "sweep-2-745": (sweep_sets, 2, 745, None, 6.2052783),
+    "sweep-5-12": (sweep_sets, 5, 12, None, 6.2463516),
+    "sweep-8-840": (sweep_sets, 8, 840, None, 6.2438902),
+    "sweep-12-998": (sweep_sets, 12, 998, None, 6.7669796),
+}
+
+
+def bench_table(sets, seed: int, index: int, e_max=None):
+    p = sets(seed)[index]
+    params = ModelParams(p.mass, p.gamma, p.half_period)
+    return params, band_edges(params, e_max=e_max or p.e_max)
+
+
+class TestKinds:
+    @pytest.mark.parametrize("sets,seed,index,e_max,gap", SLIVER_GAPS.values(), ids=SLIVER_GAPS.keys())
+    def test_sliver_gap_is_forbidden(self, sets, seed, index, e_max, gap):
+        _, table = bench_table(sets, seed, index, e_max)
+        kinds = [b.kind for b in table.bands]
+        assert all(k1 != k2 for k1, k2 in zip(kinds[:-1], kinds[1:]))
+        for e in (gap, -gap):
+            sliver = [b for b in table.bands if b.e_lo - 1e-7 < e < b.e_hi + 1e-7 and b.e_hi - b.e_lo < 5e-9]
+            assert [b.kind for b in sliver] == ["forbidden"], e
+
+    def test_sliver_table_passes_band_structure(self):
+        params, table = bench_table(oracle_sets, 8, 33, E_MAX)
+        assert check_band_structure(params, table).passed
+
+    @pytest.mark.parametrize("sets,count", [(sweep_sets, 200), (oracle_sets, 64)], ids=["sweep", "oracle"])
+    def test_kinds_match_midpoints(self, sets, count):
+        # wherever |D| at a band's midpoint is clear of 2, it agrees with the
+        # kind the order of the edges gives: a wrong parity or a wrong index
+        # for the interval about E = 0 would flip every such band
+        checked = 0
+        for index in range(count):
+            params, table = bench_table(sets, 1, index)
+            mids = np.array([0.5 * (b.e_lo + b.e_hi) for b in table.bands])
+            d = np.abs(lyapunov_many(params, mids))
+            clear = np.abs(d - 2.0) > 1e-6
+            kinds = np.array([b.kind for b in table.bands])
+            assert np.array_equal((kinds == "allowed")[clear], (d < 2.0)[clear]), index
+            checked += clear.sum()
+        assert checked > 10 * count
 
 
 class TestDispersion:
